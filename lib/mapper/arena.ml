@@ -1,5 +1,5 @@
 (* Flat arena support for the DP hot core: bit-packed tuple algebra and
-   per-domain scratch buffers.  See arena.mli and docs/arena.md for the
+   per-call scratch buffers.  See arena.mli and docs/arena.md for the
    packing layout, the saturation (check-and-fall-back, never clamp)
    rules, and the exactness argument; test/test_arena.ml proves the
    packed algebra agrees with the boxed one and that the filtered
@@ -213,7 +213,7 @@ module Net = struct
   let fin1 t id = t.f1.(id)
 end
 
-(* ---------- per-domain scratch ---------- *)
+(* ---------- per-call scratch ---------- *)
 
 type ctx = {
   (* packed fanin option lists of the node under construction *)
@@ -230,10 +230,9 @@ type ctx = {
   mutable cap : int;  (* per-slot mirror capacity *)
   mutable w_max : int;
   mutable h_max : int;
-  mutable overflows : int;
 }
 
-let fresh_ctx () =
+let create () =
   {
     a0 = Array.make 64 Packed.invalid;
     a1 = Array.make 64 Packed.invalid;
@@ -246,13 +245,9 @@ let fresh_ctx () =
     cap = 4;
     w_max = 0;
     h_max = 0;
-    overflows = 0;
   }
 
-let dls_key = Domain.DLS.new_key fresh_ctx
-let ctx () = Domain.DLS.get dls_key
-
-(* Bounding [w_max * h_max] keeps the per-domain frontier mirror small
+(* Bounding [w_max * h_max] keeps the per-call frontier mirror small
    (slots * cap words per array); every option set in the repo is far
    below it. *)
 let max_slots = 4096
@@ -260,11 +255,7 @@ let max_slots = 4096
 let eligible ~w_max ~h_max =
   w_max <= Packed.max_w && h_max <= Packed.max_h && w_max * h_max <= max_slots
 
-let note_overflow ctx =
-  ctx.overflows <- ctx.overflows + 1;
-  Obs.Metrics.incr m_overflow
-
-let overflow_count ctx = ctx.overflows
+let note_overflow () = Obs.Metrics.incr m_overflow
 
 let grow a n init =
   if Array.length a >= n then a
@@ -286,7 +277,7 @@ let load ctx which opts =
     (fun i s ->
       let w0 = Packed.pack0 s and w1 = Packed.pack1 s in
       if w0 < 0 || w1 < 0 then begin
-        note_overflow ctx;
+        note_overflow ();
         d0.(i) <- Packed.invalid;
         d1.(i) <- Packed.invalid
       end
@@ -323,7 +314,7 @@ let refresh_slot ctx ~slot sols =
       else begin
         let w0 = Packed.pack0 s and w1 = Packed.pack1 s in
         if w0 < 0 || w1 < 0 then begin
-          note_overflow ctx;
+          note_overflow ();
           ok := false
         end
         else begin
@@ -404,7 +395,7 @@ let candidate ctx ~depth_factor ~clocked ~discharge ~grounded ~pareto ~op ~i0
       | `And_bulk -> Packed.and_bulk1 ~top1:a1 ~bottom1:b1
     in
     if c1 < 0 then begin
-      note_overflow ctx;
+      note_overflow ();
       Run_boxed
     end
     else begin
@@ -422,7 +413,7 @@ let candidate ctx ~depth_factor ~clocked ~discharge ~grounded ~pareto ~op ~i0
           | `And_bulk -> Packed.and_bulk0 ~top0:a0 ~bottom0:b0
         in
         if c0 < 0 then begin
-          note_overflow ctx;
+          note_overflow ();
           Run_boxed
         end
         else begin

@@ -9,7 +9,7 @@
     visible per mapped cone.
 
     This module packs the scalar coordinates of a DP tuple into two
-    immediate ints ({!Packed}) and provides the per-domain scratch
+    immediate ints ({!Packed}) and provides the per-call scratch
     buffers ({!ctx}) the engine uses to price a candidate — combine,
     bounds check, domination check, and frontier-cap ranking — entirely
     on unboxed integers.  Only candidates that provably change a
@@ -151,23 +151,24 @@ module Net : sig
   val lit_positive : int -> bool
 end
 
-(** {1 Per-domain scratch}
+(** {1 Per-call scratch}
 
-    One [ctx] per domain (via [Domain.DLS]), holding the packed copies
-    of the current node's fanin option lists and the packed mirror of
-    its frontier slots.  Buffers grow geometrically and are reused
-    across nodes, cones, and mapping calls — steady-state, a mapping
-    call allocates nothing here. *)
+    One [ctx] per mapping call, holding the packed copies of the
+    current node's fanin option lists and the packed mirror of its
+    frontier slots.  Buffers grow geometrically and are reused across
+    the call's nodes and cones.  A context is never shared: two sweeps
+    running at once — two systhreads on one domain included — each own
+    one.  A fresh context costs under a thousand words. *)
 
 type ctx
 
-val ctx : unit -> ctx
-(** The calling domain's scratch context. *)
+val create : unit -> ctx
+(** A fresh scratch context for one mapping call. *)
 
 val max_slots : int
 (** Upper bound on [w_max * h_max] the scratch mirror will serve
-    ([4096]); larger slot grids would make the per-domain mirror
-    arrays disproportionate. *)
+    ([4096]); larger slot grids would make the mirror arrays
+    disproportionate. *)
 
 val eligible : w_max:int -> h_max:int -> bool
 (** Whether the packed filter can serve these bounds: both within the
@@ -227,7 +228,3 @@ val refresh_slot : ctx -> slot:int -> Soi_rules.sol list -> unit
     [consider] ran.  A slot containing an unpackable tuple is marked
     dirty: candidates aimed at it run boxed until it is refreshed
     clean. *)
-
-val overflow_count : ctx -> int
-(** Lifetime count of pack overflows observed by this domain's context
-    (also published as the [arena.overflow] metric). *)

@@ -103,7 +103,7 @@ let h_par_b = Obs.Metrics.histogram ~buckets:[| 0; 1 |] "mapper.par_b"
    lose skips.  Pure routing: results and counts are identical. *)
 let arena_min_pairs = 32
 
-let map_body ~greedy ~budget ~memo ~memo_salt ~core options u =
+let map_body ~greedy ~budget ~memo ~layers ~memo_salt ~core options u =
   if options.w_max < 2 || options.h_max < 2 then
     invalid_arg "Engine.map: w_max and h_max must be at least 2";
   if options.pareto_width < 1 then
@@ -129,7 +129,7 @@ let map_body ~greedy ~budget ~memo ~memo_salt ~core options u =
                options.w_max options.h_max)
         else true
   in
-  let actx = Arena.ctx () in
+  let actx = Arena.create () in
   let model = options.cost in
   let n = Unetwork.node_count u in
   let fanouts = Unetwork.fanout_counts u in
@@ -520,12 +520,18 @@ let map_body ~greedy ~budget ~memo ~memo_salt ~core options u =
      exactly as [options_of_fin] would moments later.  Depth objectives
      bypass the cache: their tables reference the run-local synthetic
      gate ids of formed-gate alternatives, which are meaningless in any
-     other run (see [register_alt]). *)
+     other run (see [register_alt]).  [layers] = [(shared, prev)] makes
+     [memo] a remap overlay ({!Memo.start}). *)
   let mrun =
     match memo with
     | Some tbl when (not greedy) && model.Cost.depth_factor = 0 ->
+        let under, prev =
+          match layers with
+          | Some (shared, prev) -> (Some shared, Some prev)
+          | None -> (None, None)
+        in
         Some
-          (Memo.start tbl ~u ~fanouts ~model ~w_max:options.w_max
+          (Memo.start ?under ?prev tbl ~u ~fanouts ~model ~w_max:options.w_max
              ~h_max:options.h_max
              ~soi:(options.style = Soi)
              ~both_orders:options.both_orders
@@ -736,7 +742,7 @@ let map_body ~greedy ~budget ~memo ~memo_salt ~core options u =
     (* The final per-node slot arrays, for the differential harness. *)
     Array.map (fun e -> e.table) entries )
 
-let map_impl ~greedy ~budget ~memo ~memo_salt ~core options u =
+let map_impl ?layers ~greedy ~budget ~memo ~memo_salt ~core options u =
   Obs.Trace.with_span ~cat:"mapper" "engine.map"
     ~args:(fun () ->
       [
@@ -744,7 +750,8 @@ let map_impl ~greedy ~budget ~memo ~memo_salt ~core options u =
         ("nodes", string_of_int (Unetwork.node_count u));
         ("greedy", string_of_bool greedy);
       ])
-    (fun () -> map_body ~greedy ~budget ~memo ~memo_salt ~core options u)
+    (fun () ->
+      map_body ~greedy ~budget ~memo ~layers ~memo_salt ~core options u)
 
 let map_with_gates ?(budget = Resilience.Budget.unlimited) ?memo
     ?(memo_salt = 0) ?(core = `Auto) options u =
@@ -800,12 +807,13 @@ let m_remap_clean = Obs.Metrics.counter "remap.clean"
 
 type remap_state = {
   rs_options : options;
-  rs_memo : Memo.t;
+  rs_memo : Memo.t;  (* shared; holds the base's entries, never the edits' *)
   rs_salt : int;
   rs_core : core;
   mutable rs_prev : Memo.fingerprint;
   mutable rs_u : Unetwork.t;  (* the last network mapped through the state *)
   mutable rs_result : Domino.Circuit.t * stats;  (* ... and its answer *)
+  mutable rs_overlay : Memo.t;  (* ... and the entries it used beyond rs_memo *)
 }
 
 type remap_info = {
@@ -827,6 +835,7 @@ let remap_init ?(budget = Resilience.Budget.unlimited) ?memo ?(memo_salt = 0)
       rs_prev = Memo.fingerprint u;
       rs_u = u;
       rs_result = result;
+      rs_overlay = Memo.create ~shards:1 ();
     },
     result )
 
@@ -866,15 +875,22 @@ let remap ?(budget = Resilience.Budget.unlimited) st u =
   else begin
     let next = Memo.fingerprint u in
     let dirty, clean = Memo.dirty_counts ~prev:st.rs_prev ~next in
-    let before = Memo.stats st.rs_memo in
-    let circuit, stats =
-      map ~budget ~memo:st.rs_memo ~memo_salt:st.rs_salt ~core:st.rs_core
+    (* A fresh overlay per edit: the shared memo serves the base's cones
+       and is never written, the previous overlay lends the earlier
+       edits' cones, and this network's misses land in the new overlay
+       alone.  Replacing the old overlay afterwards bounds the state by
+       one network's working set however many fresh edits arrive. *)
+    let overlay = Memo.create ~shards:1 () in
+    let circuit, stats, _gates, _tables =
+      map_impl ~layers:(st.rs_memo, st.rs_overlay) ~greedy:false ~budget
+        ~memo:(Some overlay) ~memo_salt:st.rs_salt ~core:st.rs_core
         st.rs_options u
     in
-    let after = Memo.stats st.rs_memo in
+    let run = Memo.stats overlay in
     st.rs_prev <- next;
     st.rs_u <- u;
     st.rs_result <- (circuit, stats);
+    st.rs_overlay <- overlay;
     if Obs.Metrics.enabled () then begin
       Obs.Metrics.incr m_remap_runs;
       Obs.Metrics.add m_remap_dirty dirty;
@@ -885,7 +901,9 @@ let remap ?(budget = Resilience.Budget.unlimited) st u =
       {
         dirty_cones = dirty;
         clean_cones = clean;
-        memo_hits = after.Memo.hits - before.Memo.hits;
-        memo_misses = after.Memo.misses - before.Memo.misses;
+        memo_hits = run.Memo.hits;
+        memo_misses = run.Memo.misses;
       } )
   end
+
+let overlay_entries st = Memo.entry_count st.rs_overlay

@@ -173,7 +173,14 @@ val map_tables :
     table merely lets every clean cone splice its cached frontier in
     and skip its combination loop, so only the dirty cones pay DP cost.
     The returned {!remap_info} reports the dirty/clean split (from the
-    fingerprints) and the memo hit/miss delta of the run. *)
+    fingerprints) and the memo hit/miss counts of the run.
+
+    Edits never write the warm table.  Each {!remap} maps through a
+    fresh overlay ({!Memo.start}'s [under]/[prev]) that reads the warm
+    table and the previous edit's overlay and keeps its own misses;
+    the new overlay then replaces the old one.  A state therefore holds
+    the base's entries (in the shared table) plus one network's
+    working set, however many fresh edits it serves. *)
 
 type remap_state
 
@@ -195,7 +202,8 @@ val remap_init :
   Unate.Unetwork.t ->
   remap_state * (Domino.Circuit.t * stats)
 (** Cold-map [u] (through [memo], freshly created when not supplied)
-    and capture the remap state.  [memo_salt] and [core] are retained
+    and capture the remap state.  This is the only call that stores
+    into [memo].  [memo_salt] and [core] are retained
     for every subsequent {!remap}.
     @raise Resilience.Budget.Exhausted as {!map}. *)
 
@@ -209,7 +217,7 @@ val remap :
     {!map} with the same options; [combinations_tried] drops to the
     dirty cones' share.  Depth-objective cost models bypass the memo
     (see {!Memo}), so they remap correctly but without warm splicing.
-    Updates the state's fingerprint to [u].
+    Updates the state's fingerprint to [u] and replaces its overlay.
 
     A network structurally identical to the previous one (exact: names,
     outputs, node array — re-parsed payloads qualify, the daemon's
@@ -217,3 +225,8 @@ val remap :
     is returned after one O(n) comparison, with every cone counted
     clean and zero memo traffic in the {!remap_info}.
     @raise Resilience.Budget.Exhausted as {!map}. *)
+
+val overlay_entries : remap_state -> int
+(** Entries in the state's overlay: the memo tables the last remapped
+    network used that the shared table lacks (0 after {!remap_init}).
+    Bounded by that network's node count. *)

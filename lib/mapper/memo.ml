@@ -203,6 +203,8 @@ type pending = {
 
 type run = {
   table : t;
+  under : t option;  (* overlay sessions: read-only shared layer *)
+  prev : t option;  (* overlay sessions: previous overlay, copied up on a hit *)
   u : Unetwork.t;
   fanouts : int array;
   boundary_level : int -> int;
@@ -214,10 +216,12 @@ type run = {
   mutable r_collisions : int;
 }
 
-let start t ~u ~fanouts ~(model : Cost.model) ~w_max ~h_max ~soi ~both_orders
-    ~grounded ~pareto ~salt ~boundary_level =
+let start ?under ?prev t ~u ~fanouts ~(model : Cost.model) ~w_max ~h_max ~soi
+    ~both_orders ~grounded ~pareto ~salt ~boundary_level =
   {
     table = t;
+    under;
+    prev;
     u;
     fanouts;
     boundary_level;
@@ -364,7 +368,25 @@ let find r id =
                   scan rest
                 end
           in
-          match scan (bucket_of r.table key) with
+          let lookup tbl = scan (bucket_of tbl key) in
+          (* Overlay order: the shared layer first (it serves every clean
+             cone), then this session's own entries, then the previous
+             overlay, whose hit is copied up so the next overlay can drop
+             it.  A plain session has only its own table. *)
+          let found =
+            match Option.bind r.under lookup with
+            | Some _ as e -> e
+            | None -> (
+                match lookup r.table with
+                | Some _ as e -> e
+                | None ->
+                    Option.map
+                      (fun e ->
+                        ignore (insert r.table key e);
+                        e)
+                      (Option.bind r.prev lookup))
+          in
+          match found with
           | Some e ->
               r.r_hits <- r.r_hits + 1;
               Some (reconstruct e subst)

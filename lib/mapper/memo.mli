@@ -92,6 +92,8 @@ val entry_count : t -> int
 type run
 
 val start :
+  ?under:t ->
+  ?prev:t ->
   t ->
   u:Unate.Unetwork.t ->
   fanouts:int array ->
@@ -113,7 +115,15 @@ val start :
     [salt] (0 for plain mapping) extends the options fingerprint: sessions with
     different salts never share entries — the rewriting front end salts
     with its pattern-set fingerprint and variant budget so rewritten and
-    plain runs keep disjoint cache worlds. *)
+    plain runs keep disjoint cache worlds.
+
+    [under] and [prev] make [t] an {e overlay} for the session (the
+    incremental remap's per-baseline working set, see {!Engine.remap}):
+    a lookup reads [under] (never written), then [t], then [prev], and
+    a hit in [prev] is copied into [t]; misses are stored in [t] only.
+    After the session [t] holds exactly the entries this network used
+    that [under] lacks, so replacing [prev] with [t] bounds the overlay
+    by one network's working set, and [under] never grows. *)
 
 val find : run -> int -> Soi_rules.sol list array option
 (** [find r id] resolves node [id]'s structural signature and looks its

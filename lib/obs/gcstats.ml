@@ -12,10 +12,12 @@ let pairs () =
   ]
 
 (* Per-request attribution: a snapshot taken on the domain that is about
-   to execute a request, subtracted after it finishes.  Under OCaml 5
-   [minor_words]/[promoted_words] are per-domain, so as long as both
-   snapshots happen on the executing domain the delta is that request's
-   own allocation, not the process's. *)
+   to execute a request, subtracted after it finishes.  The words come
+   from [Gc.counters], which reads the calling domain's own counters;
+   [Gc.quick_stat]'s word totals sum every domain on OCaml 5.1, so a
+   second domain allocating during the request would be billed to it.
+   Collection counts stay process-wide: every minor collection stops
+   all domains, so each one genuinely interrupts the request. *)
 
 type snap = {
   s_minor : float;
@@ -26,11 +28,12 @@ type snap = {
 }
 
 let snap () =
+  let minor, promoted, major = Gc.counters () in
   let s = Gc.quick_stat () in
   {
-    s_minor = s.Gc.minor_words;
-    s_promoted = s.Gc.promoted_words;
-    s_major = s.Gc.major_words;
+    s_minor = minor;
+    s_promoted = promoted;
+    s_major = major;
     s_minor_collections = s.Gc.minor_collections;
     s_major_collections = s.Gc.major_collections;
   }

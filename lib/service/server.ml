@@ -120,6 +120,13 @@ let m_gc_minor_coll =
 let m_gc_major_coll =
   Obs.Metrics.counter ~stable:false "service.gc.major_collections"
 
+(* Remap baseline cache traffic: a build parses, prepares and maps a
+   base; a hit reuses a cached one. *)
+let m_baseline_builds =
+  Obs.Metrics.counter ~stable:false "service.remap.baseline_builds"
+let m_baseline_hits =
+  Obs.Metrics.counter ~stable:false "service.remap.baseline_hits"
+
 (* ---------------- connections ---------------- *)
 
 type conn = {
@@ -140,6 +147,26 @@ type job = {
   jconn : conn;
   t_enq : int64;
 }
+
+(* One base's warm state, keyed by everything that determines it: the
+   base text, format, flow, cost model and bounds.  The key holds the
+   text itself: comparing it is a memcmp, while a structural key (a
+   fingerprint) would cost the parse and prepare that the cache exists
+   to skip. *)
+type baseline = {
+  key :
+    string
+    * Protocol.format
+    * Mapper.Algorithms.flow
+    * Mapper.Cost.model
+    * int
+    * int;
+  state : Mapper.Engine.remap_state;
+}
+
+(* Enough for a few designers on distinct bases; each entry costs its
+   base's mapped circuit plus one edit's memo working set. *)
+let baseline_capacity = 4
 
 type t = {
   cfg : config;
@@ -169,15 +196,12 @@ type t = {
   next_trace : int Atomic.t;  (* server-assigned trace-id counter *)
   flight_dumped : bool Atomic.t;  (* first-failure auto-dump latch *)
   flight_wanted : bool Atomic.t;  (* SIGQUIT-style on-demand dump *)
-  (* Warm remap baseline: the state of the last base mapped by a remap
-     request, keyed by everything that determines it (base text, format,
-     flow, cost model, bounds).  A steady stream of remaps against one
-     base — the edit/remap loop the op exists for — skips re-mapping the
-     base entirely and hits [Engine.remap]'s whole-network fast path.
-     The state is mutable, so same-base requests serialise on
-     [remap_lock]; map requests are unaffected. *)
+  (* Warm remap baselines, most recently used first, at most
+     [baseline_capacity] (guarded by [remap_lock]).  Remap states are
+     mutable, so every remap serialises on the lock; map requests are
+     unaffected. *)
   remap_lock : Mutex.t;
-  mutable remap_cache : (string * Mapper.Engine.remap_state) option;
+  mutable baselines : baseline list;
 }
 
 let create ?memo cfg =
@@ -209,7 +233,7 @@ let create ?memo cfg =
     flight_dumped = Atomic.make false;
     flight_wanted = Atomic.make false;
     remap_lock = Mutex.create ();
-    remap_cache = None;
+    baselines = [];
   }
 
 let memo t = t.memo
@@ -387,6 +411,42 @@ let effective_budget cfg (p : Protocol.map_params) =
     ?max_bdd_nodes:(tighter p.max_bdd_nodes cfg.max_bdd_nodes_cap)
     ()
 
+(* The warm state for [base] under [p]'s format, flow, cost and bounds,
+   moved to the front of the MRU list; a miss builds it and evicts the
+   least recently used entry beyond [baseline_capacity].  Call with
+   [remap_lock] held. *)
+let baseline_state t (p : Protocol.map_params) ~budget base =
+  let key =
+    ( base,
+      p.Protocol.format,
+      p.Protocol.flow,
+      p.Protocol.cost,
+      p.Protocol.w_max,
+      p.Protocol.h_max )
+  in
+  match List.find_opt (fun b -> b.key = key) t.baselines with
+  | Some b ->
+      Obs.Metrics.incr m_baseline_hits;
+      t.baselines <- b :: List.filter (fun b' -> b' != b) t.baselines;
+      b.state
+  | None ->
+      let u0 =
+        Mapper.Algorithms.prepare
+          (network_of_payload { p with Protocol.payload = base })
+      in
+      let opts =
+        Mapper.Algorithms.options_of ~cost:p.Protocol.cost
+          ~w_max:p.Protocol.w_max ~h_max:p.Protocol.h_max ~both_orders:true
+          ~grounded_at_foot:true ~pareto_width:1 p.Protocol.flow
+      in
+      let state, _ = Mapper.Engine.remap_init ~budget ~memo:t.memo opts u0 in
+      Obs.Metrics.incr m_baseline_builds;
+      t.baselines <-
+        List.filteri
+          (fun i _ -> i < baseline_capacity)
+          ({ key; state } :: t.baselines);
+      state
+
 type job_outcome = Ok_ | Degraded_ | Failed_
 
 (* One admitted request, start to finish, on a pool domain.  Total: any
@@ -427,50 +487,19 @@ let run_job t job =
       | Some base ->
           (* Incremental remap: fingerprint the payload against a warm
              baseline state, re-pricing only the dirty cones.  The
-             baseline is cached across requests keyed by everything
-             that determines it, so the steady state — many remaps of
-             edited payloads against one base — never re-maps the base;
-             a cache miss maps it through the shared warm memo.  Budget
-             trips surface as [failed] through the handlers below (no
-             greedy fallback: a degraded remap would not be
-             byte-faithful to a cold map). *)
+             steady state — many remaps of edited payloads against a few
+             bases — never re-maps a base; a cache miss maps it through
+             the shared warm memo.  Budget trips surface as [failed]
+             through the handlers below (no greedy fallback: a degraded
+             remap would not be byte-faithful to a cold map). *)
           let u1 = Mapper.Algorithms.prepare net in
-          let key =
-            Marshal.to_string
-              ( base,
-                p.Protocol.format,
-                p.Protocol.flow,
-                p.Protocol.cost,
-                p.Protocol.w_max,
-                p.Protocol.h_max )
-              []
-          in
           let circuit, stats, info =
             Mutex.lock t.remap_lock;
             Fun.protect
               ~finally:(fun () -> Mutex.unlock t.remap_lock)
               (fun () ->
-                let st =
-                  match t.remap_cache with
-                  | Some (k, st) when String.equal k key -> st
-                  | _ ->
-                      let base_net =
-                        network_of_payload { p with Protocol.payload = base }
-                      in
-                      let u0 = Mapper.Algorithms.prepare base_net in
-                      let opts =
-                        Mapper.Algorithms.options_of ~cost:p.Protocol.cost
-                          ~w_max:p.Protocol.w_max ~h_max:p.Protocol.h_max
-                          ~both_orders:true ~grounded_at_foot:true
-                          ~pareto_width:1 p.Protocol.flow
-                      in
-                      let st, _ =
-                        Mapper.Engine.remap_init ~budget ~memo:t.memo opts u0
-                      in
-                      t.remap_cache <- Some (key, st);
-                      st
-                in
-                Mapper.Engine.remap ~budget st u1)
+                Mapper.Engine.remap ~budget (baseline_state t p ~budget base)
+                  u1)
           in
           let circuit = Mapper.Algorithms.postprocess p.Protocol.flow circuit in
           remap_info :=
@@ -544,13 +573,15 @@ let run_job t job =
   Obs.Metrics.add m_gc_minor_coll gc.Obs.Gcstats.minor_collections;
   Obs.Metrics.add m_gc_major_coll gc.Obs.Gcstats.major_collections;
   let t_done = Obs.Clock.now_ns () in
-  (* Ledger before writing: once a client holds a response, the ledger
-     already reflects it, so an immediately following `stats` (or the
-     storm drill's over-the-wire balance check) can never observe the
-     gap between a delivered outcome and its counters. *)
+  (* Ledger before writing, [inflight] included: once a client holds a
+     response, the ledger already reflects it, so an immediately
+     following `stats` (or the storm drill's over-the-wire balance
+     check) can never observe the gap between a delivered outcome and
+     its counters. *)
   let ms = int_of_float (elapsed ()) in
   locked t (fun () ->
       t.c_requests <- t.c_requests + 1;
+      t.c_inflight <- t.c_inflight - 1;
       (match outcome with
       | Ok_ -> t.c_ok <- t.c_ok + 1
       | Degraded_ -> t.c_degraded <- t.c_degraded + 1
@@ -567,7 +598,6 @@ let run_job t job =
       Obs.Flight.record ?id:tid ~detail "fail");
   ignore (write_line t job.jconn line);
   let t_wend = Obs.Clock.now_ns () in
-  locked t (fun () -> t.c_inflight <- t.c_inflight - 1);
   let lat_ns = Int64.to_int (Int64.max 0L (Int64.sub t_wend job.t_enq)) in
   Obs.Metrics.observe
     (match outcome with
@@ -663,31 +693,68 @@ let dispatcher_loop t =
 
 type read_event = Line of string | Eof | Timeout | Oversized
 
-(* Buffered line reader bounded in space ([max_request_bytes]) and time
-   (SO_RCVTIMEO set at accept). *)
-let read_next t conn buf =
-  let chunk = Bytes.create 4096 in
-  let find_line () =
-    match String.index_opt (Buffer.contents buf) '\n' with
-    | Some i ->
-        let all = Buffer.contents buf in
-        let line = String.sub all 0 i in
-        Buffer.clear buf;
-        Buffer.add_substring buf all (i + 1) (String.length all - i - 1);
-        Some line
-    | None -> None
+(* Bytes asked of the kernel per [read]: a ~300 KB remap frame arrives
+   in a handful of reads, each one a trip through the runtime lock. *)
+let read_chunk = 65536
+
+(* A connection's read buffer: bytes [lo, hi) are received but not
+   yet returned as a line, and [lo, scanned) hold no newline. *)
+type rbuf = {
+  mutable data : Bytes.t;
+  mutable lo : int;
+  mutable hi : int;
+  mutable scanned : int;
+}
+
+let rbuf_create () =
+  { data = Bytes.create read_chunk; lo = 0; hi = 0; scanned = 0 }
+
+let rbuf_pending rb = rb.hi - rb.lo
+
+(* Line reader bounded in space ([max_request_bytes] per line, however
+   the bytes are chunked) and time (SO_RCVTIMEO set at accept).  Each
+   received byte is scanned for the newline once; a line is copied out
+   once. *)
+let read_next t conn rb =
+  let max = t.cfg.max_request_bytes in
+  let rec newline i =
+    if i >= rb.hi then None
+    else if Bytes.unsafe_get rb.data i = '\n' then Some i
+    else newline (i + 1)
   in
   let rec go () =
-    match find_line () with
-    | Some l -> Line l
+    match newline rb.scanned with
+    | Some i ->
+        let lo = rb.lo in
+        rb.lo <- i + 1;
+        rb.scanned <- i + 1;
+        if i - lo > max then Oversized
+        else Line (Bytes.sub_string rb.data lo (i - lo))
     | None ->
-        if Buffer.length buf > t.cfg.max_request_bytes then Oversized
+        rb.scanned <- rb.hi;
+        if rbuf_pending rb > max then Oversized
         else begin
-          match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
+          (* Room for a full chunk: slide the pending line to the front,
+             and grow only when the line itself needs it. *)
+          if Bytes.length rb.data - rb.hi < read_chunk then begin
+            let n = rbuf_pending rb in
+            let data =
+              if n + read_chunk <= Bytes.length rb.data then rb.data
+              else
+                Bytes.create
+                  (Int.max (n + read_chunk) (2 * Bytes.length rb.data))
+            in
+            Bytes.blit rb.data rb.lo data 0 n;
+            rb.data <- data;
+            rb.lo <- 0;
+            rb.hi <- n;
+            rb.scanned <- n
+          end;
+          match Unix.read conn.fd rb.data rb.hi read_chunk with
           | 0 -> Eof
           | n ->
               Obs.Metrics.add m_bytes_in n;
-              Buffer.add_subbytes buf chunk 0 n;
+              rb.hi <- rb.hi + n;
               go ()
           | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
             ->
@@ -794,19 +861,19 @@ let handle_line t conn line =
       admit t conn ~trace_id ~t_recv ~base id params
 
 let reader_loop t conn =
-  let buf = Buffer.create 512 in
+  let rb = rbuf_create () in
   let rec loop () =
-    if Atomic.get t.stop && Buffer.length buf = 0 then ()
+    if Atomic.get t.stop && rbuf_pending rb = 0 then ()
     else
-      match read_next t conn buf with
+      match read_next t conn rb with
       | Line l ->
           if String.trim l <> "" then handle_line t conn l;
           loop ()
-      | Eof -> if Buffer.length buf > 0 then count_disconnect t
+      | Eof -> if rbuf_pending rb > 0 then count_disconnect t
       | Timeout ->
           (* Idle or stalled past SO_RCVTIMEO: a stalled mid-frame client
              is a disconnect-class event; an idle one just gets closed. *)
-          if Buffer.length buf > 0 then count_disconnect t
+          if rbuf_pending rb > 0 then count_disconnect t
       | Oversized ->
           count_error t;
           Obs.Flight.record ~v:t.cfg.max_request_bytes "frame_oversized";

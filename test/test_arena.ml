@@ -325,6 +325,53 @@ let test_filter_effectiveness () =
       Alcotest.(check bool) "every skip is one pruned tuple" true
         (filtered <= metric "mapper.tuples_pruned" arena))
 
+(* Two systhreads on one domain — the daemon's two dispatchers — mapping
+   at once must not share arena scratch: the runtime switches threads
+   mid-sweep, so shared buffers would hand one sweep the other's packed
+   fanins.  Each thread maps t481 stand-ins through the arena core for a
+   few seconds and every circuit must equal the serial reference. *)
+let test_two_threads_one_domain () =
+  let nets =
+    Array.init 4 (fun k ->
+        match Gen.Suite.seed_variant "t481" (k + 1) with
+        | Some net -> Algorithms.prepare net
+        | None -> Alcotest.fail "t481 has no seeded stand-in")
+  in
+  let map u =
+    Domino.Circuit.dump (fst (Engine.map ~core:`Arena Engine.default_options u))
+  in
+  let reference = Array.map map nets in
+  let deadline = Unix.gettimeofday () +. 3.0 in
+  let lock = Mutex.create () in
+  let maps = ref 0 and wrong = ref [] in
+  let worker offset =
+    let k = ref offset in
+    while Unix.gettimeofday () < deadline do
+      let i = !k mod Array.length nets in
+      let verdict =
+        match map nets.(i) with
+        | d when d = reference.(i) -> None
+        | _ -> Some (Printf.sprintf "stand-in %d: circuit differs" i)
+        | exception e ->
+            Some (Printf.sprintf "stand-in %d: %s" i (Printexc.to_string e))
+      in
+      Mutex.protect lock (fun () ->
+          incr maps;
+          Option.iter (fun w -> wrong := w :: !wrong) verdict);
+      incr k
+    done
+  in
+  let threads = List.map (Thread.create worker) [ 0; 2 ] in
+  List.iter Thread.join threads;
+  (match !wrong with
+  | [] -> ()
+  | w :: _ ->
+      Alcotest.failf "%d of %d concurrent maps wrong, e.g. %s"
+        (List.length !wrong) !maps w);
+  Alcotest.(check bool)
+    (Printf.sprintf "both threads mapped (%d maps)" !maps)
+    true (!maps >= 4)
+
 let suite =
   [
     Alcotest.test_case "pack-roundtrip" `Quick test_pack_roundtrip;
@@ -335,4 +382,5 @@ let suite =
     Alcotest.test_case "suite-all-flows" `Slow test_suite_all_flows;
     Alcotest.test_case "ineligible-bounds" `Quick test_ineligible_bounds;
     Alcotest.test_case "filter-effectiveness" `Quick test_filter_effectiveness;
+    Alcotest.test_case "two-threads-one-domain" `Slow test_two_threads_one_domain;
   ]

@@ -623,6 +623,36 @@ let test_cli_trace_file () =
   Alcotest.(check bool) "map span present" true (named "engine.map");
   Alcotest.(check bool) "verify span present" true (named "cli.verify")
 
+(* A request's GC delta is its own domain's: a second domain allocating
+   ~30M words meanwhile must not be billed to the snapshot's domain. *)
+let test_gcstats_per_domain () =
+  let churn words =
+    for i = 1 to words / 3 do
+      ignore (Sys.opaque_identity (i, i))
+    done
+  in
+  let before = Obs.Gcstats.snap () in
+  let other =
+    Domain.spawn (fun () ->
+        let s = Obs.Gcstats.snap () in
+        churn 30_000_000;
+        Obs.Gcstats.delta s)
+  in
+  let theirs = Domain.join other in
+  churn 30_000;
+  let ours = Obs.Gcstats.delta before in
+  Alcotest.(check bool)
+    (Printf.sprintf "second domain counted its own churn (%d words)"
+       theirs.Obs.Gcstats.minor_words)
+    true
+    (theirs.Obs.Gcstats.minor_words >= 29_000_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "caller billed only its own words (%d)"
+       ours.Obs.Gcstats.minor_words)
+    true
+    (ours.Obs.Gcstats.minor_words >= 30_000
+    && ours.Obs.Gcstats.minor_words < 1_000_000)
+
 let suite =
   [
     Alcotest.test_case "json values" `Quick test_json_values;
@@ -646,4 +676,5 @@ let suite =
     Alcotest.test_case "trace streaming sink" `Quick test_trace_streaming;
     Alcotest.test_case "cli stats json" `Slow test_cli_stats_json;
     Alcotest.test_case "cli trace file" `Slow test_cli_trace_file;
+    Alcotest.test_case "gc deltas are per-domain" `Quick test_gcstats_per_domain;
   ]

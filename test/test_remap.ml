@@ -188,6 +188,78 @@ let test_dirty_cone_only_invalidation () =
     Alcotest.(check bool) "clean cones spliced from cache" true
       (info.Engine.memo_hits > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Edits never grow the shared memo: the per-baseline overlay.         *)
+(* ------------------------------------------------------------------ *)
+
+(* K fresh edits of one base, each remapped against the base's state:
+   every answer is a cold map's, and the shared table never moves. *)
+let test_fresh_edits_leave_shared_memo () =
+  let u0 = Algorithms.prepare (Gen.Suite.build_exn "c880") in
+  let memo = Memo.create () in
+  let opts = Engine.default_options in
+  let st, _ = Engine.remap_init ~memo opts u0 in
+  let entries0 = Memo.entry_count memo in
+  Alcotest.(check int) "no overlay after init" 0 (Engine.overlay_entries st);
+  for seed = 1 to 16 do
+    let u = Check.Edit.apply ~seed:(seed * 104729) u0 in
+    ignore (check_remap ~ctx:(Printf.sprintf "fresh edit %d" seed) ~opts st u);
+    Alcotest.(check int)
+      (Printf.sprintf "edit %d: shared memo unchanged" seed)
+      entries0 (Memo.entry_count memo);
+    if Engine.overlay_entries st > Unate.Unetwork.node_count u then
+      Alcotest.failf "edit %d: overlay holds %d entries for %d nodes" seed
+        (Engine.overlay_entries st) (Unate.Unetwork.node_count u)
+  done
+
+(* The memory bound over a long edit loop: after 1,000 fresh edits the
+   shared table still holds exactly the base's entries, and the overlay
+   no more entries than the base has nodes. *)
+let test_thousand_edits_bounded () =
+  let u0 = Algorithms.prepare (Gen.Suite.build_exn "c880") in
+  let memo = Memo.create () in
+  let opts = Engine.default_options in
+  let st, _ = Engine.remap_init ~memo opts u0 in
+  let entries0 = Memo.entry_count memo in
+  for seed = 1 to 1000 do
+    let u = Check.Edit.apply ~seed u0 in
+    let warm, _, _ = Engine.remap st u in
+    if seed mod 100 = 0 then begin
+      let cold, _ = Engine.map opts u in
+      if Domino.Circuit.dump warm <> Domino.Circuit.dump cold then
+        Alcotest.failf "edit %d: warm remap not byte-identical to cold" seed
+    end
+  done;
+  Alcotest.(check int) "shared memo = its size after remap_init" entries0
+    (Memo.entry_count memo);
+  Alcotest.(check bool)
+    (Printf.sprintf "overlay (%d entries) within the base's %d nodes"
+       (Engine.overlay_entries st) (Unate.Unetwork.node_count u0))
+    true
+    (Engine.overlay_entries st <= Unate.Unetwork.node_count u0)
+
+(* An accumulating chain e1, e1+e2, e1+e2+e3: the second remap copies
+   e1's cones up from the first overlay, so the third still finds them
+   and misses no more than its own dirty cones. *)
+let test_accumulating_chain_stays_warm () =
+  let u0 = Algorithms.prepare (Gen.Suite.build_exn "c880") in
+  let memo = Memo.create () in
+  let opts = Engine.default_options in
+  let st, _ = Engine.remap_init ~memo opts u0 in
+  let u1 = Check.Edit.apply ~seed:11 u0 in
+  let u2 = Check.Edit.apply ~seed:22 u1 in
+  let u3 = Check.Edit.apply ~seed:33 u2 in
+  let _, i1 = check_remap ~ctx:"e1" ~opts st u1 in
+  let _, i2 = check_remap ~ctx:"e1+e2" ~opts st u2 in
+  let _, i3 = check_remap ~ctx:"e1+e2+e3" ~opts st u3 in
+  List.iter
+    (fun (ctx, (i : Engine.remap_info)) ->
+      if i.Engine.memo_misses > i.Engine.dirty_cones then
+        Alcotest.failf "%s: %d misses exceed %d dirty cones" ctx
+          i.Engine.memo_misses i.Engine.dirty_cones)
+    [ ("e1", i1); ("e1+e2", i2); ("e1+e2+e3", i3) ];
+  Alcotest.(check bool) "the chain really edited" true (i1.Engine.dirty_cones > 0)
+
 (* Depth objectives bypass the memo; remap must still be correct. *)
 let test_depth_model_remap () =
   let u0 = Algorithms.prepare (Gen.Suite.build_exn "z4ml") in
@@ -251,6 +323,11 @@ let suite =
     Alcotest.test_case "noop-remap" `Quick test_noop_remap;
     Alcotest.test_case "shared-fanout-edit" `Quick test_shared_fanout_edit;
     Alcotest.test_case "dirty-cone-only" `Quick test_dirty_cone_only_invalidation;
+    Alcotest.test_case "fresh-edits-shared-memo" `Quick
+      test_fresh_edits_leave_shared_memo;
+    Alcotest.test_case "thousand-edits-bounded" `Slow test_thousand_edits_bounded;
+    Alcotest.test_case "accumulating-chain-warm" `Quick
+      test_accumulating_chain_stays_warm;
     Alcotest.test_case "depth-model-remap" `Quick test_depth_model_remap;
     Alcotest.test_case "fuzz-remap-seeds-1-5" `Slow test_fuzz_remap_clean;
     Alcotest.test_case "fuzz-remap-jobs-invariant" `Slow

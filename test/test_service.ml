@@ -125,6 +125,18 @@ let ledger_of srv =
   let t = Service.Server.totals srv in
   fun k -> try List.assoc k t with Not_found -> Alcotest.fail ("no total " ^ k)
 
+(* The registry is a process-global switch (soimap --serve flips it on);
+   these tests restore the disabled state so the rest of the suite keeps
+   measuring the null sink. *)
+let with_metrics f =
+  Obs.Metrics.reset ();
+  Obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.set_enabled false;
+      Obs.Metrics.reset ())
+    f
+
 (* ---------------- end-to-end ---------------- *)
 
 let test_end_to_end () =
@@ -228,6 +240,180 @@ let test_remap_op () =
   let get = ledger_of srv in
   ci "ledger balances" (get "requests")
     (get "ok" + get "degraded" + get "failed" + get "rejected")
+
+(* ---------------- framing ---------------- *)
+
+(* A raw socket, so a test controls exactly how the bytes are chunked. *)
+let raw_connect addr =
+  match addr with
+  | Service.Protocol.Unix_sock path ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+      fd
+  | Service.Protocol.Tcp _ -> Alcotest.fail "tests use unix sockets"
+
+(* Write [data] in pieces of [sizes] (cycled), pausing after each so the
+   server's reads see the pieces apart.  Stops quietly once the server
+   has hung up: it closes a connection as soon as a frame outgrows
+   [max_request_bytes], possibly before the rest of the frame is sent. *)
+let write_chunked fd data sizes =
+  let len = String.length data in
+  let rec go off k =
+    if off < len then begin
+      let n = min (List.nth sizes (k mod List.length sizes)) (len - off) in
+      match Unix.write_substring fd data off n with
+      | _ ->
+          Unix.sleepf 0.001;
+          go (off + n) (k + 1)
+      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+    end
+  in
+  go 0 0
+
+(* Every line the server sends until it closes the socket, or until
+   [n] lines have arrived. *)
+let read_lines ?(n = max_int) fd =
+  let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let lines () =
+    List.filter (( <> ) "") (String.split_on_char '\n' (Buffer.contents buf))
+  in
+  let rec go () =
+    let complete =
+      String.length (Buffer.contents buf) > 0
+      && String.ends_with ~suffix:"\n" (Buffer.contents buf)
+    in
+    if complete && List.length (lines ()) >= n then ()
+    else
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | 0 -> ()
+      | k ->
+          Buffer.add_subbytes buf chunk 0 k;
+          go ()
+      | exception Unix.Unix_error _ -> ()
+  in
+  go ();
+  List.map Obs.Json.parse_exn (lines ())
+
+let id_of j =
+  match Obs.Json.member "id" j with
+  | Some (Obs.Json.Str s) -> s
+  | _ -> Alcotest.fail "response without an id"
+
+let test_frame_chunking () =
+  with_server @@ fun addr srv ->
+  let fd = raw_connect addr in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  (* one frame in many short writes *)
+  write_chunked fd
+    {|{"id":"split","op":"map","format":"suite","payload":"z4ml"}|} [ 1; 3; 7 ];
+  write_chunked fd "\n" [ 1 ];
+  (match read_lines ~n:1 fd with
+  | [ j ] ->
+      cs "split frame answered" "split" (id_of j);
+      cs "split frame mapped" "ok" (status j)
+  | l -> Alcotest.failf "split frame: %d responses" (List.length l));
+  (* two frames in one write, then a third split across two writes *)
+  let write s = ignore (Unix.write_substring fd s 0 (String.length s)) in
+  write {|{"id":"a","op":"ping"}
+{"id":"b","op":"ping"}
+{"id":"c","op"|};
+  Unix.sleepf 0.01;
+  write ":\"ping\"}\n";
+  (match read_lines ~n:3 fd with
+  | [ a; b; c ] ->
+      cs "first of the pair" "a" (id_of a);
+      cs "second of the pair" "b" (id_of b);
+      cs "frame across writes" "c" (id_of c)
+  | l -> Alcotest.failf "batched frames: %d responses" (List.length l));
+  let get = ledger_of srv in
+  ci "no frame errors" 0 (get "errors")
+
+(* A line of exactly [max_request_bytes] is served and one byte more is
+   refused, whatever the chunking. *)
+let test_max_request_bytes () =
+  let max = 512 in
+  with_server ~tweak:(fun c -> { c with Service.Server.max_request_bytes = max })
+  @@ fun addr _srv ->
+  let ping len =
+    let fixed = String.length {|{"id":"","op":"ping"}|} in
+    Printf.sprintf {|{"id":"%s","op":"ping"}|} (String.make (len - fixed) 'x')
+  in
+  let chunkings =
+    [ ("whole", [ max + 2 ]); ("short writes", [ 61 ]); ("at the bound", [ max; 1 ]) ]
+  in
+  List.iter
+    (fun (how, sizes) ->
+      let send line =
+        let fd = raw_connect addr in
+        Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+        write_chunked fd (line ^ "\n") sizes;
+        read_lines ~n:1 fd
+      in
+      (match send (ping max) with
+      | [ j ] -> cs (how ^ ": a line of exactly max bytes is served") "ok" (status j)
+      | l -> Alcotest.failf "%s: %d responses at max bytes" how (List.length l));
+      match send (ping (max + 1)) with
+      | [ j ] ->
+          cs (how ^ ": one byte over is an error") "error" (status j);
+          cs (how ^ ": names the bound")
+            (Printf.sprintf "request exceeds %d bytes" max)
+            (match Obs.Json.member "reason" j with
+            | Some (Obs.Json.Str r) -> r
+            | _ -> "")
+      | l -> Alcotest.failf "%s: %d responses at max+1 bytes" how (List.length l))
+    chunkings
+
+(* ---------------- remap baselines ---------------- *)
+
+let blif_of_unate u = Blif.to_string (Unate.Unetwork.to_network u)
+
+let remap_line ~id ~base payload =
+  Printf.sprintf
+    {|{"id":"%s","op":"remap","format":"blif","base":"%s","payload":"%s","dump":true}|}
+    id
+    (Service.Protocol.json_escape base)
+    (Service.Protocol.json_escape payload)
+
+let counter name =
+  Option.value ~default:0 (List.assoc_opt name (Obs.Metrics.snapshot ()))
+
+(* Two designers alternating two bases: each baseline is built once and
+   every later request hits it, and every answer is a cold map's. *)
+let test_alternating_baselines () =
+  with_metrics @@ fun () ->
+  with_server @@ fun addr _srv ->
+  let bases =
+    Array.map
+      (fun name -> Mapper.Algorithms.prepare (Gen.Suite.build_exn name))
+      [| "cordic"; "z4ml" |]
+  in
+  let clients = Array.map (fun _ -> connect addr) bases in
+  Fun.protect ~finally:(fun () -> Array.iter Service.Client.close clients)
+  @@ fun () ->
+  let rounds = 4 in
+  for round = 1 to rounds do
+    Array.iteri
+      (fun k u0 ->
+        let payload = blif_of_unate (Check.Edit.apply ~seed:((round * 31) + k) u0) in
+        let id = Printf.sprintf "c%d-r%d" k round in
+        let j = request clients.(k) (remap_line ~id ~base:(blif_of_unate u0) payload) in
+        cs (id ^ " status") "ok" (status j);
+        let reference =
+          Domino.Circuit.dump
+            (Mapper.Algorithms.soi_domino_map (Blif.parse_string payload))
+              .Mapper.Algorithms.circuit
+        in
+        cs (id ^ " dump = cold map dump") reference
+          (match Obs.Json.member "dump" j with
+          | Some (Obs.Json.Str d) -> d
+          | _ -> Alcotest.fail "no dump"))
+      bases
+  done;
+  ci "each base built once" 2 (counter "service.remap.baseline_builds");
+  ci "every later request hit its baseline"
+    ((2 * rounds) - 2)
+    (counter "service.remap.baseline_hits")
 
 let test_request_isolation () =
   with_server @@ fun addr srv ->
@@ -356,18 +542,6 @@ let test_stale_socket_recovery () =
   (try Unix.unlink path with Unix.Unix_error _ -> ())
 
 (* ---------------- observability over the wire ---------------- *)
-
-(* The registry is a process-global switch (soimap --serve flips it on);
-   these tests restore the disabled state so the rest of the suite keeps
-   measuring the null sink. *)
-let with_metrics f =
-  Obs.Metrics.reset ();
-  Obs.Metrics.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Metrics.set_enabled false;
-      Obs.Metrics.reset ())
-    f
 
 let trace_id_of j =
   match Service.Protocol.response_trace_id j with
@@ -632,6 +806,11 @@ let suite =
     Alcotest.test_case "end-to-end" `Quick test_end_to_end;
     Alcotest.test_case "warm-cache identity" `Quick test_warm_cache_identity;
     Alcotest.test_case "remap op" `Quick test_remap_op;
+    Alcotest.test_case "frames across and within writes" `Quick test_frame_chunking;
+    Alcotest.test_case "max request bytes, any chunking" `Quick
+      test_max_request_bytes;
+    Alcotest.test_case "alternating remap baselines" `Quick
+      test_alternating_baselines;
     Alcotest.test_case "request isolation" `Quick test_request_isolation;
     Alcotest.test_case "admission backpressure" `Quick test_admission_backpressure;
     Alcotest.test_case "drain with in-flight work" `Quick test_drain_with_inflight;
