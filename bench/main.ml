@@ -9,7 +9,7 @@
               dune exec bench/main.exe -- table   (only table benches)
 
    Options (hand-parsed; bechamel has no CLI of its own):
-     FILTER        table | stage | ablation | parallel | memo | rewrite | arena
+     FILTER        table | stage | ablation | parallel | memo | rewrite | remap
      --jobs N      pool size for the parallel/* benches (default: cores)
      --json FILE   also write the results as JSON telemetry.  The schema
                    is documented in docs/verification.md; the revision
@@ -228,96 +228,30 @@ let rewrite_benches =
    from a fresh memo every run; warm remaps it through a state primed
    once before measurement — the steady state of an edit/remap loop,
    where the whole-network fast path answers from the cached circuit
-   after one structural comparison.  The boxed-vs-arena pricing race is
-   NOT a bechamel pair: whichever test of a pair runs second inherits
-   the first's major-heap garbage, and on a race this close that bias
-   flips the verdict between whole-process runs.  It is measured by
-   [publish_dp_race] below under a paired interleaved design instead. *)
-let arena_benches =
+   after one structural comparison. *)
+let remap_benches =
   let opts = Mapper.Engine.default_options in
   let des_unate = Mapper.Algorithms.prepare (Gen.Suite.build_exn "des") in
   let edited = Check.Edit.apply ~seed:42 des_unate in
   let warm_st, _ = Mapper.Engine.remap_init opts des_unate in
   ignore (Mapper.Engine.remap warm_st edited);
   [
-    Test.make ~name:"arena/remap_cold(des)"
+    Test.make ~name:"remap/cold(des)"
       (stage (fun () ->
            ignore (Mapper.Engine.map ~memo:(Mapper.Memo.create ()) opts edited)));
-    Test.make ~name:"arena/remap_warm(des)"
+    Test.make ~name:"remap/warm(des)"
       (stage (fun () -> ignore (Mapper.Engine.remap warm_st edited)));
   ]
 
-(* The two pricing cores race under a paired design: alternate one
-   boxed and one arena map of the same prepared network within one
-   process and keep each core's minimum over the trials.  Interleaving
-   cancels heap-growth drift (both cores see the same heap evolution),
-   and the minimum discards the runs that absorbed a major-GC slice —
-   the verdict is reproducible across whole-process runs where a
-   sequential bechamel pair's is not.  The answers are byte-identical
-   (test/test_arena.ml), so the gap is pure engine overhead. *)
-let publish_dp_race () =
-  let opts = Mapper.Engine.default_options in
-  let race net =
-    let u = Mapper.Algorithms.prepare (Gen.Suite.build_exn net) in
-    let time core =
-      let t0 = Obs.Clock.now_ns () in
-      ignore (Mapper.Engine.map ~core opts u);
-      Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) t0)
-    in
-    (* one unmeasured lap each to warm code paths and the heap *)
-    ignore (time `Boxed);
-    ignore (time `Arena);
-    let boxed = ref max_int and arena = ref max_int in
-    (* the lap leader alternates so neither core systematically maps
-       into the other's freshly-created garbage *)
-    for lap = 1 to 16 do
-      if lap land 1 = 0 then begin
-        boxed := min !boxed (time `Boxed);
-        arena := min !arena (time `Arena)
-      end
-      else begin
-        arena := min !arena (time `Arena);
-        boxed := min !boxed (time `Boxed)
-      end
-    done;
-    let c name v = Obs.Metrics.add (Obs.Metrics.counter name) v in
-    c (Printf.sprintf "bench.dp_ns_per_map_boxed(%s)" net) !boxed;
-    c (Printf.sprintf "bench.dp_ns_per_map_arena(%s)" net) !arena;
-    Printf.printf
-      "dp race (%s): min of 16 interleaved maps — boxed %.2f ms, arena %.2f \
-       ms (%.2fx)\n\
-       %!"
-      net
-      (float_of_int !boxed /. 1e6)
-      (float_of_int !arena /. 1e6)
-      (float_of_int !arena /. float_of_int (max !boxed 1))
-  in
-  race "des";
-  race "c880"
-
-(* Allocation evidence for docs/arena.md and the BENCH JSON: minor heap
-   words allocated per mapped cone under each pricing core, published
-   through the metrics registry so a --json run carries the numbers
-   next to the timing rows. *)
+(* Allocation evidence for docs/remap.md and the BENCH JSON: minor heap
+   words allocated per mapped cone on the remap path, published through
+   the metrics registry so a --json run carries the numbers next to the
+   timing rows.  Cold re-prices an edited des from a fresh memo; warm is
+   the remap steady state (the whole-network fast path), which allocates
+   nothing per cone. *)
 let publish_alloc_evidence () =
   let opts = Mapper.Engine.default_options in
   let des_unate = Mapper.Algorithms.prepare (Gen.Suite.build_exn "des") in
-  let nodes = Unate.Unetwork.node_count des_unate in
-  let runs = 5 in
-  let measure core =
-    ignore (Mapper.Engine.map ~core opts des_unate);
-    Gc.full_major ();
-    let w0 = Gc.minor_words () in
-    for _ = 1 to runs do
-      ignore (Mapper.Engine.map ~core opts des_unate)
-    done;
-    (Gc.minor_words () -. w0) /. float_of_int (runs * nodes)
-  in
-  let boxed = measure `Boxed in
-  let arena = measure `Arena in
-  (* The remap-path evidence on the same net: cold re-prices the edited
-     des from a fresh memo; warm is the remap steady state (the
-     whole-network fast path), which allocates nothing per cone. *)
   let edited = Check.Edit.apply ~seed:42 des_unate in
   let st, _ = Mapper.Engine.remap_init opts des_unate in
   ignore (Mapper.Engine.remap st edited);
@@ -338,15 +272,11 @@ let publish_alloc_evidence () =
   let c name v =
     Obs.Metrics.add (Obs.Metrics.counter name) (int_of_float v)
   in
-  c "bench.minor_words_per_cone_boxed(des)" boxed;
-  c "bench.minor_words_per_cone_arena(des)" arena;
   c "bench.minor_words_per_cone_cold(des)" cold_des;
   c "bench.minor_words_per_cone_warm_remap(des)" warm_des;
   Printf.printf
-    "alloc: minor words per mapped cone — des boxed %.0f, des arena %.0f \
-     (%.1fx); des cold %.0f, des warm remap %.2f (%.0fx)\n%!"
-    boxed arena
-    (boxed /. Float.max arena 1.0)
+    "alloc: minor words per mapped cone — des cold %.0f, des warm remap \
+     %.2f (%.0fx)\n%!"
     cold_des warm_des
     (cold_des /. Float.max warm_des 0.01)
 
@@ -489,8 +419,7 @@ let () =
      plain bench runs measure the disabled (single-branch) path. *)
   if !json_file <> None then begin
     Obs.Metrics.set_enabled true;
-    publish_alloc_evidence ();
-    publish_dp_race ()
+    publish_alloc_evidence ()
   end;
   let par = parallel_benches jobs in
   let tests =
@@ -501,10 +430,10 @@ let () =
     | Some "parallel" -> par
     | Some "memo" -> memo_benches
     | Some "rewrite" -> rewrite_benches
-    | Some "arena" -> arena_benches
+    | Some "remap" -> remap_benches
     | _ ->
         table_benches @ stage_benches @ ablation_benches @ par @ memo_benches
-        @ rewrite_benches @ arena_benches
+        @ rewrite_benches @ remap_benches
   in
   let results = benchmark tests in
   Printf.printf "%-50s %15s\n" "benchmark" "time/run";

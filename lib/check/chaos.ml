@@ -219,7 +219,8 @@ let storm_worker ~addr ~oversize ~rounds ~seed tally =
               {|{"id":"z","op":"map","format":"suite","payload":"z4ml","timeout":0}|})
     | 2 ->
         (* oversized frame: must get an error line back, then the
-           server closes the connection *)
+           server closes the connection.  Only read after the frame:
+           a second line would be written to a closed socket. *)
         with_conn (fun c ->
             tally.t_frames <- tally.t_frames + 1;
             let big = String.make (oversize + 4096) 'x' in
@@ -227,7 +228,9 @@ let storm_worker ~addr ~oversize ~rounds ~seed tally =
             | Error _ ->
                 (* the server may slam the door before reading it all *)
                 tally.t_errors <- tally.t_errors + 1
-            | Ok () -> record tally (Service.Client.request c "\"tail\""))
+            | Ok () ->
+                record tally
+                  (Result.bind (Service.Client.recv_line c) Obs.Json.parse))
     | 3 ->
         tally.t_aborted <- tally.t_aborted + 1;
         abort_mid_frame addr

@@ -86,7 +86,7 @@ let finish_rewritten u (r : Restructure.outcome) =
     rewrite = Some r.Restructure.info;
   }
 
-let run ?memo ?(core = `Auto) ?(cost = Cost.area) ?(w_max = 5) ?(h_max = 8)
+let run ?memo ?(cost = Cost.area) ?(w_max = 5) ?(h_max = 8)
     ?(both_orders = true) ?(grounded_at_foot = true) ?(pareto_width = 1)
     ?(extract = false) ?(rewrite = 0) flow net =
   let u = prepare ~extract net in
@@ -99,10 +99,10 @@ let run ?memo ?(core = `Auto) ?(cost = Cost.area) ?(w_max = 5) ?(h_max = 8)
       (Restructure.map_best ?memo ~limit:rewrite
          ~postprocess:(postprocess_of flow) options u)
   else
-    let circuit, stats = Engine.map ?memo ~core options u in
+    let circuit, stats = Engine.map ?memo options u in
     finish flow u circuit stats
 
-let run_outcome ?(budget = Resilience.Budget.unlimited) ?memo ?(core = `Auto)
+let run_outcome ?(budget = Resilience.Budget.unlimited) ?memo
     ?(on_exhaust = `Degrade) ?(cost = Cost.area) ?(w_max = 5) ?(h_max = 8)
     ?(both_orders = true) ?(grounded_at_foot = true) ?(pareto_width = 1)
     ?(extract = false) ?(rewrite = 0) flow net =
@@ -118,7 +118,7 @@ let run_outcome ?(budget = Resilience.Budget.unlimited) ?memo ?(core = `Auto)
   else
     Resilience.Outcome.map
       (fun (circuit, stats) -> finish flow u circuit stats)
-      (Engine.map_outcome ~budget ?memo ~core ~on_exhaust options u)
+      (Engine.map_outcome ~budget ?memo ~on_exhaust options u)
 
 let domino_map ?cost ?w_max ?h_max net = run ?cost ?w_max ?h_max Domino_map net
 let rs_map ?cost ?w_max ?h_max net = run ?cost ?w_max ?h_max Rs_map net

@@ -39,7 +39,6 @@ type result = {
 
 val run :
   ?memo:Memo.t ->
-  ?core:Engine.core ->
   ?cost:Cost.model ->
   ?w_max:int ->
   ?h_max:int ->
@@ -54,9 +53,7 @@ val run :
 (** [run flow net] executes the complete flow with the paper's defaults
     ([w_max] 5, [h_max] 8, area cost).  [memo] threads a structural
     cache into {!Engine.map} (see {!Memo} for the transparency
-    guarantee).  [core] (default [`Auto]) selects the DP pricing core
-    ({!Engine.core}); the rewrite portfolio always maps with [`Auto].
-    [rewrite] (default 0 = off) enables the choice-aware
+    guarantee).  [rewrite] (default 0 = off) enables the choice-aware
     rewriting front end with that many variants: the flow maps the
     original and up to [rewrite] algebraic restructurings
     ({!Restructure.map_best}) and keeps the cheapest circuit under the
@@ -65,7 +62,6 @@ val run :
 val run_outcome :
   ?budget:Resilience.Budget.t ->
   ?memo:Memo.t ->
-  ?core:Engine.core ->
   ?on_exhaust:[ `Fail | `Degrade ] ->
   ?cost:Cost.model ->
   ?w_max:int ->

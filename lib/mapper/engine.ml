@@ -31,12 +31,6 @@ type stats = {
   gates_formed : int;
 }
 
-(* Which pricing core runs the combination loop.  The arena filter is a
-   sound pre-filter over the boxed DP (see Arena): results are
-   byte-identical either way, so [`Auto] simply asks for it whenever
-   the bounds fit the packed fields. *)
-type core = [ `Auto | `Arena | `Boxed ]
-
 (* Gate formed for a unate node, before circuit ids are assigned. *)
 type gate_info = {
   gi_structure : Pdn.t;
@@ -63,12 +57,6 @@ let m_gates = Obs.Metrics.counter "mapper.gates"
 let m_discharges = Obs.Metrics.counter "mapper.discharges"
 let m_greedy_fallback = Obs.Metrics.counter "mapper.greedy_fallback"
 
-(* Same handle Arena registers; the engine batches the per-skip counts
-   locally and lands them here once per map call — a sharded atomic
-   fetch-and-add per skipped candidate would cost more than the boxed
-   combine the skip saves. *)
-let m_arena_filtered = Obs.Metrics.counter "arena.filtered"
-
 let h_frontier =
   Obs.Metrics.histogram ~buckets:[| 1; 2; 4; 8; 16; 32; 64 |]
     "mapper.frontier_size"
@@ -94,46 +82,14 @@ let h_par_b = Obs.Metrics.histogram ~buckets:[| 0; 1 |] "mapper.par_b"
    combinations actually executed, so hits lower it.  The greedy rung
    never consults the cache: it changes the mapping-boundary rule, so
    its tables live in a different world. *)
-(* Per-node arming threshold for the packed pre-filter: a node pays
-   [begin_node] (mirror reset + one pack per fanin option) before its
-   first candidate, so nodes with fewer fanin-option pairs than this
-   cannot win the reset back in skipped combines and price boxed.
-   Tuned on the paper suite (k2/c880/des): 32 is the knee — below it
-   small-node overhead erodes the filter's win, above it large cones
-   lose skips.  Pure routing: results and counts are identical. *)
-let arena_min_pairs = 32
-
-let map_body ~greedy ~budget ~memo ~layers ~memo_salt ~core options u =
+let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
   if options.w_max < 2 || options.h_max < 2 then
     invalid_arg "Engine.map: w_max and h_max must be at least 2";
   if options.pareto_width < 1 then
     invalid_arg "Engine.map: pareto_width must be at least 1";
-  (* The packed pre-filter (see Arena): on by default whenever the
-     bounds fit the packed fields.  The greedy rung stays boxed — it is
-     already linear and its tiny tables would never amortise the mirror
-     bookkeeping. *)
-  let filter_on =
-    (not greedy)
-    &&
-    match core with
-    | `Boxed -> false
-    | `Auto -> Arena.eligible ~w_max:options.w_max ~h_max:options.h_max
-    | `Arena ->
-        if not (Arena.eligible ~w_max:options.w_max ~h_max:options.h_max)
-        then
-          invalid_arg
-            (Printf.sprintf
-               "Engine.map: ~core:`Arena requires packable bounds (W<=%d, \
-                H<=%d, W*H<=%d); got W=%d H=%d"
-               Arena.Packed.max_w Arena.Packed.max_h Arena.max_slots
-               options.w_max options.h_max)
-        else true
-  in
-  let actx = Arena.create () in
   let model = options.cost in
   let n = Unetwork.node_count u in
   let fanouts = Unetwork.fanout_counts u in
-  let anet = Arena.Net.of_unetwork u in
   let entries =
     Array.init n (fun _ ->
         { table = Array.make (options.w_max * options.h_max) []; gate = None })
@@ -144,9 +100,6 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt ~core options u =
      [counting] so the disabled hot path runs the same instructions as
      an uninstrumented build. *)
   let pruned = ref 0 in
-  (* Candidates the packed filter skipped (a subset of [pruned]);
-     batched into [arena.filtered] after the sweep. *)
-  let filtered = ref 0 in
   let counting = Obs.Metrics.enabled () in
 
   let slot w h = ((w - 1) * options.h_max) + (h - 1) in
@@ -156,8 +109,9 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt ~core options u =
   let rec take k xs =
     match xs with x :: rest when k > 0 -> x :: take (k - 1) rest | _ -> []
   in
-  (* [a] dominates [b] when every completion of [b] is matched or beaten
-     by the same completion of [a].  That needs agreement on the shape
+  (* [a] dominates a tuple with coordinates [par_b] .. [p_dis] when
+     every completion of that tuple is matched or beaten by the same
+     completion of [a].  That needs agreement on the shape
      flags the combinators read ([par_b]), the footedness coordinate
      ([has_pi]: a footless tuple completes into a cheaper gate, so it may
      dominate a footed one but never the reverse), and a componentwise
@@ -166,14 +120,27 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt ~core options u =
      discard a deeper-but-lighter tuple that wins after a later [max].
      This mirrors [Opt.Backend.dominates] — the fuzzer's exact oracle
      proved the old collapsed-key, foot-blind predicate drops optimal
-     tuples (see test_engine's frontier regression). *)
-  let dominates a b =
-    a.Soi_rules.par_b = b.Soi_rules.par_b
-    && ((not a.Soi_rules.has_pi) || b.Soi_rules.has_pi)
-    && a.Soi_rules.value.Cost.weighted <= b.Soi_rules.value.Cost.weighted
-    && (model.Cost.depth_factor = 0
-       || a.Soi_rules.value.Cost.depth <= b.Soi_rules.value.Cost.depth)
-    && a.Soi_rules.p_dis <= b.Soi_rules.p_dis
+     tuples (see test_engine's frontier regression).  The candidate
+     side is scalars so a candidate can be tested before it is built. *)
+  let dominates a ~par_b ~has_pi ~weighted ~depth ~p_dis =
+    a.Soi_rules.par_b = par_b
+    && ((not a.Soi_rules.has_pi) || has_pi)
+    && a.Soi_rules.value.Cost.weighted <= weighted
+    && (model.Cost.depth_factor = 0 || a.Soi_rules.value.Cost.depth <= depth)
+    && a.Soi_rules.p_dis <= p_dis
+  in
+  let dominates_sol a (b : Soi_rules.sol) =
+    dominates a ~par_b:b.Soi_rules.par_b ~has_pi:b.Soi_rules.has_pi
+      ~weighted:b.Soi_rules.value.Cost.weighted
+      ~depth:b.Soi_rules.value.Cost.depth ~p_dis:b.Soi_rules.p_dis
+  in
+  (* [List.exists] over [dominates], without a closure per candidate. *)
+  let rec dominated kept ~par_b ~has_pi ~weighted ~depth ~p_dis =
+    match kept with
+    | [] -> false
+    | old :: rest ->
+        dominates old ~par_b ~has_pi ~weighted ~depth ~p_dis
+        || dominated rest ~par_b ~has_pi ~weighted ~depth ~p_dis
   in
   (* The frontier cap is cost-aware on both of a tuple's completion
      roles.  A surviving tuple is either combined further (its bare key
@@ -193,20 +160,7 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt ~core options u =
     + (if options.grounded_at_foot then 0
        else model.Cost.discharge * s.Soi_rules.p_dis)
   in
-  let compare_inline a b =
-    match compare (key a) (key b) with
-    | 0 -> (
-        match compare a.Soi_rules.p_dis b.Soi_rules.p_dis with
-        | 0 -> (
-            match compare a.Soi_rules.value.Cost.raw b.Soi_rules.value.Cost.raw with
-            (* Footless last: at an equal inline key the footed tuple is
-               the one only this order can save (dominance already
-               prefers footless on exact ties of every coordinate). *)
-            | 0 -> compare b.Soi_rules.has_pi a.Soi_rules.has_pi
-            | c -> c)
-        | c -> c)
-    | c -> c
-  in
+  let compare_sols = Soi_rules.compare_sols model in
   let compare_formed a b =
     match compare (formed_key a) (formed_key b) with
     | 0 -> (
@@ -258,104 +212,42 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt ~core options u =
           || List.memq s keep_light)
         sorted
   in
-  (* Returns [true] iff the slot's frontier actually changed — the
-     mirror refresh below keys on it, so rejected candidates (bound or
-     dominance) cost no repacking. *)
-  let consider entry (s : Soi_rules.sol) =
-    if s.Soi_rules.w <= options.w_max && s.Soi_rules.h <= options.h_max then begin
-      let i = slot s.Soi_rules.w s.Soi_rules.h in
+  (* One candidate: [op] over fanin tuples [a] (a series pair's top)
+     and [b].  The bounds and dominance tests read only scalars, so a
+     candidate rejected on arrival counts one pruned tuple and is never
+     built; only a survivor allocates its tuple, cost value and PDN
+     node.  A survivor evicts the tuples it dominates, then the slot is
+     re-sorted and capped. *)
+  let price entry op a b =
+    let w = Soi_rules.width op a b and h = Soi_rules.height op a b in
+    if w > options.w_max || h > options.h_max then begin
+      if counting then incr pruned
+    end
+    else begin
+      let i = slot w h in
       let kept = entry.table.(i) in
-      if List.exists (fun old -> dominates old s) kept then begin
-        if counting then incr pruned;
-        false
+      if
+        dominated kept ~par_b:(Soi_rules.par_b op a b)
+          ~has_pi:(Soi_rules.has_pi a b)
+          ~weighted:(Soi_rules.weighted model op a b)
+          ~depth:(Soi_rules.depth a b) ~p_dis:(Soi_rules.p_dis op a b)
+      then begin
+        if counting then incr pruned
       end
       else begin
-        let survivors = List.filter (fun old -> not (dominates s old)) kept in
+        let s = Soi_rules.combine model op a b in
+        let survivors =
+          List.filter (fun old -> not (dominates_sol s old)) kept
+        in
         if counting then
           pruned := !pruned + (List.length kept - List.length survivors);
-        let sorted = List.sort compare_inline (s :: survivors) in
+        let sorted = List.sort compare_sols (s :: survivors) in
         let capped = cap_frontier sorted in
         (if counting then
            pruned := !pruned + (List.length sorted - List.length capped));
-        entry.table.(i) <- capped;
-        true
+        entry.table.(i) <- capped
       end
     end
-    else begin
-      if counting then incr pruned;
-      false
-    end
-  in
-  (* Per-node filter gate.  [begin_node] costs a mirror reset plus one
-     pack per fanin option; a node with only a handful of candidate
-     pairs cannot win that back in skipped combines, so the filter only
-     arms on nodes with enough pairs to amortise it (the gate is pure
-     routing — counts and results are byte-identical either way). *)
-  let node_filter = ref false in
-  (* Boxed [consider] plus the mirror refresh the filter depends on: a
-     candidate that changed its slot's frontier makes the mirror stale,
-     so re-pack that slot into the scratch mirror. *)
-  let consider_refresh entry (s : Soi_rules.sol) =
-    if consider entry s && !node_filter then begin
-      let i = slot s.Soi_rules.w s.Soi_rules.h in
-      Arena.refresh_slot actx ~slot:i entry.table.(i)
-    end
-  in
-  (* Insert-verdict fast path: the filter proved the candidate is in
-     bounds and survives dominance against the slot's (clean) mirror,
-     so the boxed dominance re-check is skipped and the scalars come
-     from the exact packed words — the packed combination is the only
-     scalar arithmetic a survivor pays. *)
-  let consider_insert entry ~c0 ~c1 structure =
-    let s = Arena.Packed.unpack_with ~structure ~w0:c0 ~w1:c1 in
-    let i = slot s.Soi_rules.w s.Soi_rules.h in
-    let kept = entry.table.(i) in
-    let survivors = List.filter (fun old -> not (dominates s old)) kept in
-    if counting then
-      pruned := !pruned + (List.length kept - List.length survivors);
-    let sorted = List.sort compare_inline (s :: survivors) in
-    let capped = cap_frontier sorted in
-    (if counting then
-       pruned := !pruned + (List.length sorted - List.length capped));
-    entry.table.(i) <- capped;
-    Arena.refresh_slot actx ~slot:i capped
-  in
-  let boxed_combine op s0 s1 =
-    match op with
-    | `Or -> Soi_rules.combine_or model s0 s1
-    | `And_soi -> Soi_rules.combine_and_soi model ~top:s0 ~bottom:s1
-    | `And_soi_rev -> Soi_rules.combine_and_soi model ~top:s1 ~bottom:s0
-    | `And_bulk -> Soi_rules.combine_and_bulk model ~top:s0 ~bottom:s1
-  in
-  let structure_of op (s0 : Soi_rules.sol) (s1 : Soi_rules.sol) =
-    match op with
-    | `Or ->
-        Domino.Pdn.Parallel (s0.Soi_rules.structure, s1.Soi_rules.structure)
-    | `And_soi | `And_bulk ->
-        Domino.Pdn.Series (s0.Soi_rules.structure, s1.Soi_rules.structure)
-    | `And_soi_rev ->
-        Domino.Pdn.Series (s1.Soi_rules.structure, s0.Soi_rules.structure)
-  in
-  (* One candidate end to end: Skip_pruned only bumps the pruned count;
-     Insert materialises from the packed words; anything unpackable —
-     or every candidate when the filter is off — prices fully boxed. *)
-  let price entry op s0 s1 i0 i1 =
-    if not !node_filter then consider_refresh entry (boxed_combine op s0 s1)
-    else
-      match
-        Arena.candidate actx ~depth_factor:model.Cost.depth_factor
-          ~clocked:model.Cost.clocked ~discharge:model.Cost.discharge
-          ~grounded:options.grounded_at_foot ~pareto:options.pareto_width ~op
-          ~i0 ~i1
-      with
-      | Arena.Skip_pruned ->
-          if counting then begin
-            incr pruned;
-            incr filtered
-          end
-      | Arena.Insert { c0; c1 } ->
-          consider_insert entry ~c0 ~c1 (structure_of op s0 s1)
-      | Arena.Run_boxed -> consider_refresh entry (boxed_combine op s0 s1)
   in
 
   (* The gate formed over one inline tuple: overhead for the foot,
@@ -440,24 +332,19 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt ~core options u =
       match entries.(id).gate with Some g -> g | None -> form_gate id
   in
 
-  (* Candidate tuples a fanin offers to its consumer.  The sweep works
-     on the flat [Arena.Net] fanin encoding, so dispatch here is integer
-     tests rather than a boxed [fin] match. *)
-  let options_of_enc enc =
-    if Arena.Net.is_const enc then
-      (* Unreachable via the public constructors: [Unetwork.mk] folds
-         constant fanins away at build time, so only hand-assembled
-         node records could trip this. *)
-      invalid_arg
-        "Engine.map: constant fanin reached the DP sweep; unate networks \
-         from Unetwork.of_network/with_structure fold constants away"
-    else if not (Arena.Net.is_node enc) then
-      [
-        Soi_rules.leaf_pi model ~input:(Arena.Net.lit_input enc)
-          ~positive:(Arena.Net.lit_positive enc);
-      ]
-    else begin
-      let m = enc in
+  (* Candidate tuples a fanin offers to its consumer. *)
+  let options_of fin =
+    match fin with
+    | Unetwork.F_const _ ->
+        (* Unreachable via the public constructors: [Unetwork.mk] folds
+           constant fanins away at build time, so only hand-assembled
+           node records could trip this. *)
+        invalid_arg
+          "Engine.map: constant fanin reached the DP sweep; unate networks \
+           from Unetwork.of_network/with_structure fold constants away"
+    | Unetwork.F_lit { input; positive } ->
+        [ Soi_rules.leaf_pi model ~input ~positive ]
+    | Unetwork.F_node m ->
         let shared = fanouts.(m) > 1 || greedy in
         if shared then begin
           let gi = gate_of m in
@@ -512,12 +399,11 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt ~core options u =
             (fun acc cands -> List.rev_append cands acc)
             alts entries.(m).table
         end
-    end
   in
 
   (* The memo session, opened only for full (non-greedy) sweeps with a
      table supplied.  [boundary_level] forms the boundary gate on demand,
-     exactly as [options_of_fin] would moments later.  Depth objectives
+     exactly as [options_of] would moments later.  Depth objectives
      bypass the cache: their tables reference the run-local synthetic
      gate ids of formed-gate alternatives, which are meaningless in any
      other run (see [register_alt]).  [layers] = [(shared, prev)] makes
@@ -552,43 +438,31 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt ~core options u =
     match (match mrun with Some r -> Memo.find r id | None -> None) with
     | Some table -> Array.blit table 0 entry.table 0 (Array.length table)
     | None ->
-        let opts0 = options_of_enc (Arena.Net.fin0 anet id) in
-        let opts1 = options_of_enc (Arena.Net.fin1 anet id) in
-        node_filter :=
-          filter_on
-          && List.length opts0 * List.length opts1 >= arena_min_pairs;
-        if !node_filter then
-          Arena.begin_node actx ~w_max:options.w_max ~h_max:options.h_max
-            ~opts0 ~opts1;
-        let is_and = Arena.Net.is_and anet id in
-        let i0 = ref (-1) in
+        let nd = Unetwork.node u id in
+        let opts0 = options_of nd.Unetwork.fanin0 in
+        let opts1 = options_of nd.Unetwork.fanin1 in
         List.iter
           (fun s0 ->
-            incr i0;
-            let i1 = ref (-1) in
             List.iter
               (fun s1 ->
-                incr i1;
                 incr combinations;
                 Resilience.Budget.charge_tuples budget 1;
                 if !combinations land 2047 = 0 then
                   Resilience.Budget.check_deadline budget;
-                if not is_and then price entry `Or s0 s1 !i0 !i1
-                else
-                  match options.style with
-                  | Bulk -> price entry `And_bulk s0 s1 !i0 !i1
-                  | Soi ->
-                      if options.both_orders then begin
-                        price entry `And_soi s0 s1 !i0 !i1;
-                        price entry `And_soi_rev s0 s1 !i0 !i1
-                      end
-                      else begin
-                        let top, _ = Soi_rules.heuristic_and_order s0 s1 in
-                        let op =
-                          if top == s0 then `And_soi else `And_soi_rev
-                        in
-                        price entry op s0 s1 !i0 !i1
-                      end)
+                match nd.Unetwork.kind with
+                | Unetwork.U_or -> price entry Soi_rules.Or s0 s1
+                | Unetwork.U_and -> (
+                    match options.style with
+                    | Bulk -> price entry Soi_rules.And_bulk s0 s1
+                    | Soi ->
+                        if options.both_orders then begin
+                          price entry Soi_rules.And_soi s0 s1;
+                          price entry Soi_rules.And_soi s1 s0
+                        end
+                        else begin
+                          let top, bottom = Soi_rules.heuristic_and_order s0 s1 in
+                          price entry Soi_rules.And_soi top bottom
+                        end))
               opts1)
           opts0;
         (match mrun with Some r -> Memo.store r id entry.table | None -> ())
@@ -703,7 +577,6 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt ~core options u =
     Obs.Metrics.add m_combinations !combinations;
     Obs.Metrics.add m_tuples_kept tuples_kept;
     Obs.Metrics.add m_tuples_pruned !pruned;
-    Obs.Metrics.add m_arena_filtered !filtered;
     Obs.Metrics.add m_gates (Array.length circuit.Circuit.gates);
     Array.iter
       (fun g ->
@@ -736,13 +609,11 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt ~core options u =
        certifier: every mapping boundary has its gate by now (consumers
        and output materialisation force them), so a [None] only answers
        queries about interior nodes no consumer turned into a gate. *)
-    (fun id ->
+    fun id ->
       if id < 0 || id >= n then None
-      else Option.map (fun g -> g.gi_value) entries.(id).gate),
-    (* The final per-node slot arrays, for the differential harness. *)
-    Array.map (fun e -> e.table) entries )
+      else Option.map (fun g -> g.gi_value) entries.(id).gate )
 
-let map_impl ?layers ~greedy ~budget ~memo ~memo_salt ~core options u =
+let map_impl ?layers ~greedy ~budget ~memo ~memo_salt options u =
   Obs.Trace.with_span ~cat:"mapper" "engine.map"
     ~args:(fun () ->
       [
@@ -751,43 +622,33 @@ let map_impl ?layers ~greedy ~budget ~memo ~memo_salt ~core options u =
         ("greedy", string_of_bool greedy);
       ])
     (fun () ->
-      map_body ~greedy ~budget ~memo ~layers ~memo_salt ~core options u)
+      map_body ~greedy ~budget ~memo ~layers ~memo_salt options u)
 
 let map_with_gates ?(budget = Resilience.Budget.unlimited) ?memo
-    ?(memo_salt = 0) ?(core = `Auto) options u =
-  let circuit, stats, gates, _tables =
-    map_impl ~greedy:false ~budget ~memo ~memo_salt ~core options u
-  in
-  (circuit, stats, gates)
+    ?(memo_salt = 0) options u =
+  map_impl ~greedy:false ~budget ~memo ~memo_salt options u
 
-let map ?(budget = Resilience.Budget.unlimited) ?memo ?(memo_salt = 0)
-    ?(core = `Auto) options u =
-  let circuit, stats, _gates, _tables =
-    map_impl ~greedy:false ~budget ~memo ~memo_salt ~core options u
+let map ?(budget = Resilience.Budget.unlimited) ?memo ?(memo_salt = 0) options
+    u =
+  let circuit, stats, _gates =
+    map_impl ~greedy:false ~budget ~memo ~memo_salt options u
   in
   (circuit, stats)
-
-let map_tables ?(budget = Resilience.Budget.unlimited) ?memo ?(memo_salt = 0)
-    ?(core = `Auto) options u =
-  let circuit, stats, _gates, tables =
-    map_impl ~greedy:false ~budget ~memo ~memo_salt ~core options u
-  in
-  (circuit, stats, tables)
 
 (* The fallback runs unbudgeted on purpose: it is linear in the network,
    so re-imposing the deadline that the full DP just blew would only
    turn a guaranteed-cheap rescue into a second failure.  It also runs
    memo-free: greedy tables obey a different boundary rule. *)
 let map_greedy options u =
-  let circuit, stats, _gates, _tables =
+  let circuit, stats, _gates =
     map_impl ~greedy:true ~budget:Resilience.Budget.unlimited ~memo:None
-      ~memo_salt:0 ~core:`Boxed options u
+      ~memo_salt:0 options u
   in
   (circuit, stats)
 
 let map_outcome ?(budget = Resilience.Budget.unlimited) ?memo ?(memo_salt = 0)
-    ?(core = `Auto) ?(on_exhaust = `Degrade) options u =
-  match map ~budget ?memo ~memo_salt ~core options u with
+    ?(on_exhaust = `Degrade) options u =
+  match map ~budget ?memo ~memo_salt options u with
   | result -> Resilience.Outcome.Ok result
   | exception Resilience.Budget.Exhausted reason -> (
       match on_exhaust with
@@ -809,7 +670,6 @@ type remap_state = {
   rs_options : options;
   rs_memo : Memo.t;  (* shared; holds the base's entries, never the edits' *)
   rs_salt : int;
-  rs_core : core;
   mutable rs_prev : Memo.fingerprint;
   mutable rs_u : Unetwork.t;  (* the last network mapped through the state *)
   mutable rs_result : Domino.Circuit.t * stats;  (* ... and its answer *)
@@ -824,14 +684,13 @@ type remap_info = {
 }
 
 let remap_init ?(budget = Resilience.Budget.unlimited) ?memo ?(memo_salt = 0)
-    ?(core = `Auto) options u =
+    options u =
   let memo = match memo with Some t -> t | None -> Memo.create () in
-  let result = map ~budget ~memo ~memo_salt ~core options u in
+  let result = map ~budget ~memo ~memo_salt options u in
   ( {
       rs_options = options;
       rs_memo = memo;
       rs_salt = memo_salt;
-      rs_core = core;
       rs_prev = Memo.fingerprint u;
       rs_u = u;
       rs_result = result;
@@ -881,10 +740,9 @@ let remap ?(budget = Resilience.Budget.unlimited) st u =
        alone.  Replacing the old overlay afterwards bounds the state by
        one network's working set however many fresh edits arrive. *)
     let overlay = Memo.create ~shards:1 () in
-    let circuit, stats, _gates, _tables =
+    let circuit, stats, _gates =
       map_impl ~layers:(st.rs_memo, st.rs_overlay) ~greedy:false ~budget
-        ~memo:(Some overlay) ~memo_salt:st.rs_salt ~core:st.rs_core
-        st.rs_options u
+        ~memo:(Some overlay) ~memo_salt:st.rs_salt st.rs_options u
     in
     let run = Memo.stats overlay in
     st.rs_prev <- next;

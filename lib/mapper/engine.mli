@@ -58,23 +58,10 @@ type stats = {
   gates_formed : int;  (** gates materialised into the final circuit *)
 }
 
-type core = [ `Auto | `Boxed | `Arena ]
-(** Which pricing core runs the DP combination loop.  [`Boxed] is the
-    legacy path: every candidate is built as a {!Soi_rules.sol} record
-    and offered to the frontier.  [`Arena] runs the packed pre-filter
-    ({!Arena}): candidates are first priced on bit-packed immediate
-    ints, and only those not provably no-ops reach the boxed
-    constructors — same circuit, same stats, fewer allocations.
-    [`Auto] (the default everywhere) picks [`Arena] whenever
-    {!Arena.eligible} accepts the bounds and [`Boxed] otherwise.
-    Forcing [`Arena] on ineligible bounds raises [Invalid_argument];
-    the greedy rung ({!map_greedy}) always runs boxed. *)
-
 val map :
   ?budget:Resilience.Budget.t ->
   ?memo:Memo.t ->
   ?memo_salt:int ->
-  ?core:core ->
   options ->
   Unate.Unetwork.t ->
   Domino.Circuit.t * stats
@@ -110,7 +97,6 @@ val map_with_gates :
   ?budget:Resilience.Budget.t ->
   ?memo:Memo.t ->
   ?memo_salt:int ->
-  ?core:core ->
   options ->
   Unate.Unetwork.t ->
   Domino.Circuit.t * stats * (int -> Cost.value option)
@@ -137,7 +123,6 @@ val map_outcome :
   ?budget:Resilience.Budget.t ->
   ?memo:Memo.t ->
   ?memo_salt:int ->
-  ?core:core ->
   ?on_exhaust:[ `Fail | `Degrade ] ->
   options ->
   Unate.Unetwork.t ->
@@ -147,22 +132,6 @@ val map_outcome :
     {!map_greedy} and flags the result [Degraded]; [`Fail] returns
     [Failed] with the tripped budget's reason.  Never raises
     [Exhausted]. *)
-
-val map_tables :
-  ?budget:Resilience.Budget.t ->
-  ?memo:Memo.t ->
-  ?memo_salt:int ->
-  ?core:core ->
-  options ->
-  Unate.Unetwork.t ->
-  Domino.Circuit.t * stats * Soi_rules.sol list array array
-(** {!map}, additionally returning the completed per-node DP tables:
-    element [id] is node [id]'s slot array (indexed
-    [(w-1) * h_max + (h-1)], each slot the capped Pareto frontier in
-    the engine's inline order).  This is the differential harness's
-    view: test/test_arena.ml asserts the arrays are
-    frontier-for-frontier identical between [`Arena] and [`Boxed]
-    runs. *)
 
 (** {2 Incremental remapping}
 
@@ -197,14 +166,13 @@ val remap_init :
   ?budget:Resilience.Budget.t ->
   ?memo:Memo.t ->
   ?memo_salt:int ->
-  ?core:core ->
   options ->
   Unate.Unetwork.t ->
   remap_state * (Domino.Circuit.t * stats)
 (** Cold-map [u] (through [memo], freshly created when not supplied)
     and capture the remap state.  This is the only call that stores
-    into [memo].  [memo_salt] and [core] are retained
-    for every subsequent {!remap}.
+    into [memo].  [memo_salt] is retained for every subsequent
+    {!remap}.
     @raise Resilience.Budget.Exhausted as {!map}. *)
 
 val remap :

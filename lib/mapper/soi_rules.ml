@@ -1,5 +1,3 @@
-
-
 type sol = {
   w : int;
   h : int;
@@ -37,55 +35,83 @@ let leaf_gate model ~node ~level ~carried ~carried_disch =
     structure = Domino.Pdn.Leaf (Domino.Pdn.S_gate node);
   }
 
-let combine_or _model s1 s2 =
-  {
-    w = s1.w + s2.w;
-    h = max s1.h s2.h;
-    value = Cost.combine s1.value s2.value;
-    p_dis = s1.p_dis + s2.p_dis;
-    par_b = true;
-    has_pi = s1.has_pi || s2.has_pi;
-    disch = s1.disch + s2.disch;
-    structure = Domino.Pdn.Parallel (s1.structure, s2.structure);
-  }
+type op = Or | And_soi | And_bulk
 
-let combine_and_soi model ~top ~bottom =
-  let committed = if top.par_b then top.p_dis + 1 else 0 in
-  let p_dis =
-    if top.par_b then bottom.p_dis else top.p_dis + 1 + bottom.p_dis
-  in
+(* Each rule is one scalar function per field.  [combine] builds the
+   tuple from them, and the engine reads the same functions to reject
+   a candidate before building it, so the two can never disagree. *)
+
+(* [max] at type int: the polymorphic one compares through the runtime. *)
+let imax (a : int) b = if a >= b then a else b
+
+let width op a b =
+  match op with Or -> a.w + b.w | And_soi | And_bulk -> imax a.w b.w
+
+let height op a b =
+  match op with Or -> imax a.h b.h | And_soi | And_bulk -> a.h + b.h
+
+(* Discharge transistors a series junction commits: if the top has a
+   parallel branch at its bottom, the junction below it can never reach
+   ground, so it and all of the top's potential points are realised. *)
+let committed op top =
+  match op with
+  | And_soi when top.par_b -> top.p_dis + 1
+  | Or | And_soi | And_bulk -> 0
+
+let weighted model op a b =
+  a.value.Cost.weighted + b.value.Cost.weighted
+  + (model.Cost.discharge * committed op a)
+
+let depth a b = imax a.value.Cost.depth b.value.Cost.depth
+
+let p_dis op a b =
+  match op with
+  | Or -> a.p_dis + b.p_dis
+  | And_soi -> if a.par_b then b.p_dis else a.p_dis + 1 + b.p_dis
+  | And_bulk -> 0
+
+let par_b op _a b =
+  match op with Or -> true | And_soi -> b.par_b | And_bulk -> false
+
+let has_pi a b = a.has_pi || b.has_pi
+
+let combine model op a b =
+  let committed = committed op a in
   {
-    w = max top.w bottom.w;
-    h = top.h + bottom.h;
+    w = width op a b;
+    h = height op a b;
     value =
-      Cost.combine
-        (Cost.combine top.value bottom.value)
-        (Cost.discharges model committed);
-    p_dis;
-    par_b = bottom.par_b;
-    has_pi = top.has_pi || bottom.has_pi;
-    disch = top.disch + bottom.disch + committed;
-    structure = Domino.Pdn.Series (top.structure, bottom.structure);
+      {
+        Cost.weighted = weighted model op a b;
+        depth = depth a b;
+        raw = a.value.Cost.raw + b.value.Cost.raw + committed;
+      };
+    p_dis = p_dis op a b;
+    par_b = par_b op a b;
+    has_pi = has_pi a b;
+    disch = a.disch + b.disch + committed;
+    structure =
+      (match op with
+      | Or -> Domino.Pdn.Parallel (a.structure, b.structure)
+      | And_soi | And_bulk -> Domino.Pdn.Series (a.structure, b.structure));
   }
 
-let combine_and_bulk _model ~top ~bottom =
-  {
-    w = max top.w bottom.w;
-    h = top.h + bottom.h;
-    value = Cost.combine top.value bottom.value;
-    p_dis = 0;
-    par_b = false;
-    has_pi = top.has_pi || bottom.has_pi;
-    disch = top.disch + bottom.disch;
-    structure = Domino.Pdn.Series (top.structure, bottom.structure);
-  }
+let combine_or model s1 s2 = combine model Or s1 s2
+let combine_and_soi model ~top ~bottom = combine model And_soi top bottom
+let combine_and_bulk model ~top ~bottom = combine model And_bulk top bottom
 
 let compare_sols model a b =
-  (* Cost key first, then the paper's p_dis tie-break, then raw size. *)
+  (* Cost key first, then the paper's p_dis tie-break, then raw size,
+     then footless last: at an equal key the footed tuple is the one
+     only this order can save (dominance already prefers footless on
+     exact ties of every coordinate). *)
   match compare (Cost.key model a.value) (Cost.key model b.value) with
   | 0 -> (
       match compare a.p_dis b.p_dis with
-      | 0 -> compare a.value.Cost.raw b.value.Cost.raw
+      | 0 -> (
+          match compare a.value.Cost.raw b.value.Cost.raw with
+          | 0 -> compare b.has_pi a.has_pi
+          | c -> c)
       | c -> c)
   | c -> c
 

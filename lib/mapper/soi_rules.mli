@@ -38,6 +38,37 @@ val leaf_gate :
     transistor); it is {!Cost.zero}-with-[depth]=[level] for shared
     drivers, whose formation cost is accounted once globally. *)
 
+type op =
+  | Or  (** parallel composition *)
+  | And_soi  (** series composition with PBE bookkeeping *)
+  | And_bulk  (** series composition without PBE awareness *)
+(** A combination rule.  For the two series rules the first operand is
+    the top of the stack. *)
+
+val combine : Cost.model -> op -> sol -> sol -> sol
+(** [combine model op a b] composes two tuples under [op]; it is
+    {!combine_or}, {!combine_and_soi} or {!combine_and_bulk}. *)
+
+(** {2 Fields of a combination, without building it}
+
+    Each of these is the named field of [combine model op a b], computed
+    from the operands' scalars alone.  [combine] is built from them, so
+    a caller that prices a candidate before deciding to build it (the
+    engine's bounds and dominance check) reads the very same rules. *)
+
+val width : op -> sol -> sol -> int
+val height : op -> sol -> sol -> int
+
+val weighted : Cost.model -> op -> sol -> sol -> int
+(** [value.weighted]. *)
+
+val depth : sol -> sol -> int
+(** [value.depth]. *)
+
+val p_dis : op -> sol -> sol -> int
+val par_b : op -> sol -> sol -> bool
+val has_pi : sol -> sol -> bool
+
 val combine_or : Cost.model -> sol -> sol -> sol
 (** Parallel composition.  [p_dis] adds, [par_b] becomes true, no
     discharge transistor is committed. *)
@@ -53,8 +84,9 @@ val combine_and_bulk : Cost.model -> top:sol -> bottom:sol -> sol
 (** Series composition without PBE awareness (costs just add). *)
 
 val compare_sols : Cost.model -> sol -> sol -> int
-(** Order by cost key, then [p_dis] (the paper's tie-break), then raw
-    transistors. *)
+(** The DP frontier's order: cost key, then [p_dis] (the paper's
+    tie-break), then raw transistors, then footless ([has_pi = false])
+    last. *)
 
 val heuristic_and_order : sol -> sol -> sol * sol
 (** [heuristic_and_order s1 s2] is [(top, bottom)] per the paper's

@@ -147,6 +147,88 @@ let test_grounded_at_foot_ablation () =
       Alcotest.(check bool) (name ^ " pessimistic needs more") true (d2 >= d1))
     [ "cm150"; "z4ml"; "count" ]
 
+(* The DP's work counts on two paper benchmarks, pinned.  The engine
+   rejects out-of-bounds and dominated candidates from their scalars
+   before it builds them, and each rejection must still count as
+   exactly one pruned tuple: a check that skipped a candidate
+   uncounted, or counted it twice, moves [mapper.tuples_pruned]. *)
+let test_dp_count_pins () =
+  let pruned () =
+    Option.value ~default:0
+      (List.assoc_opt "mapper.tuples_pruned" (Obs.Metrics.snapshot ()))
+  in
+  let was = Obs.Metrics.enabled () in
+  Fun.protect
+    ~finally:(fun () -> Obs.Metrics.set_enabled was)
+    (fun () ->
+      Obs.Metrics.set_enabled true;
+      List.iter
+        (fun (name, expect) ->
+          let u = Algorithms.prepare (Gen.Suite.build_exn name) in
+          let before = pruned () in
+          let _, s = Engine.map Engine.default_options u in
+          let got =
+            [
+              s.Engine.nodes_processed;
+              s.Engine.tuples_kept;
+              s.Engine.combinations_tried;
+              s.Engine.gates_formed;
+              pruned () - before;
+            ]
+          in
+          Alcotest.(check (list int))
+            (name ^ ": nodes / kept / tried / gates / pruned")
+            expect got)
+        [
+          ("des", [ 4720; 12445; 33849; 1780; 41600 ]);
+          ("c880", [ 389; 1009; 3093; 113; 4448 ]);
+        ])
+
+(* Two systhreads on one domain — the daemon's two dispatchers — mapping
+   at once must each get the serial answer: the runtime switches threads
+   mid-sweep, so any state two sweeps shared would hand one of them the
+   other's data.  Each thread maps t481 stand-ins for a few seconds and
+   every circuit must equal the serial reference. *)
+let test_two_threads_one_domain () =
+  let nets =
+    Array.init 4 (fun k ->
+        match Gen.Suite.seed_variant "t481" (k + 1) with
+        | Some net -> Algorithms.prepare net
+        | None -> Alcotest.fail "t481 has no seeded stand-in")
+  in
+  let map u = Domino.Circuit.dump (fst (Engine.map Engine.default_options u)) in
+  let reference = Array.map map nets in
+  let deadline = Unix.gettimeofday () +. 3.0 in
+  let lock = Mutex.create () in
+  let maps = ref 0 and wrong = ref [] in
+  let worker offset =
+    let k = ref offset in
+    while Unix.gettimeofday () < deadline do
+      let i = !k mod Array.length nets in
+      let verdict =
+        match map nets.(i) with
+        | d when d = reference.(i) -> None
+        | _ -> Some (Printf.sprintf "stand-in %d: circuit differs" i)
+        | exception e ->
+            Some (Printf.sprintf "stand-in %d: %s" i (Printexc.to_string e))
+      in
+      Mutex.protect lock (fun () ->
+          incr maps;
+          Option.iter (fun w -> wrong := w :: !wrong) verdict);
+      incr k
+    done
+  in
+  let threads = List.map (Thread.create worker) [ 0; 2 ] in
+  List.iter Thread.join threads;
+  (match !wrong with
+  | [] -> ()
+  | w :: _ ->
+      Alcotest.failf "%d of %d concurrent maps wrong, e.g. %s"
+        (List.length !wrong) !maps w);
+  Alcotest.(check bool)
+    (Printf.sprintf "both threads mapped (%d maps)" !maps)
+    true (!maps >= 4)
+
 let suite =
   [
     Alcotest.test_case "figure 3 example costs 9" `Quick test_fig3_single_gate_cost9;
@@ -162,4 +244,6 @@ let suite =
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "levels consistent" `Quick test_levels_consistent;
     Alcotest.test_case "grounded-at-foot ablation" `Quick test_grounded_at_foot_ablation;
+    Alcotest.test_case "DP count pins" `Quick test_dp_count_pins;
+    Alcotest.test_case "two-threads-one-domain" `Slow test_two_threads_one_domain;
   ]

@@ -94,7 +94,10 @@ let test_bulk_and_ignores_pbe () =
 let test_compare_sols_tie_break () =
   let a = { (leaf 0) with Soi_rules.p_dis = 2 } in
   let b = { (leaf 0) with Soi_rules.p_dis = 1 } in
-  Alcotest.(check bool) "p_dis breaks cost ties" true (Soi_rules.compare_sols m b a < 0)
+  Alcotest.(check bool) "p_dis breaks cost ties" true (Soi_rules.compare_sols m b a < 0);
+  let footless = { (leaf 0) with Soi_rules.has_pi = false } in
+  Alcotest.(check bool) "footless sorts last on full ties" true
+    (Soi_rules.compare_sols m (leaf 0) footless < 0)
 
 let test_structure_consistency_with_analysis () =
   (* The incremental bookkeeping must agree with the standalone analysis. *)
