@@ -223,62 +223,89 @@ let rewrite_benches =
       (stage (fun () -> ignore (post (fst (Mapper.Engine.map opts c880_unate)))));
   ]
 
+(* Fresh local edits of des (seeds 100-107), each a network the remap
+   state has not seen: the edit loop's real steady state, where the
+   dirty cones miss and every clean cone hits. *)
+let des_edits des_unate =
+  Array.init 8 (fun i -> Check.Edit.apply ~seed:(100 + i) des_unate)
+
 (* Incremental remapping.  The _cold/_warm pair feeds the JSON speedup
    rows like the memo benches: cold re-prices a locally edited network
    from a fresh memo every run; warm remaps it through a state primed
-   once before measurement — the steady state of an edit/remap loop,
-   where the whole-network fast path answers from the cached circuit
-   after one structural comparison. *)
+   once before measurement, where the whole-network fast path answers
+   from the cached circuit after one structural comparison.  edited
+   remaps a fresh edit on every run, cycling through [des_edits]. *)
 let remap_benches =
   let opts = Mapper.Engine.default_options in
   let des_unate = Mapper.Algorithms.prepare (Gen.Suite.build_exn "des") in
   let edited = Check.Edit.apply ~seed:42 des_unate in
   let warm_st, _ = Mapper.Engine.remap_init opts des_unate in
   ignore (Mapper.Engine.remap warm_st edited);
+  let edits = des_edits des_unate in
+  let edit_st, _ = Mapper.Engine.remap_init opts des_unate in
+  let next = ref 0 in
   [
     Test.make ~name:"remap/cold(des)"
       (stage (fun () ->
            ignore (Mapper.Engine.map ~memo:(Mapper.Memo.create ()) opts edited)));
     Test.make ~name:"remap/warm(des)"
       (stage (fun () -> ignore (Mapper.Engine.remap warm_st edited)));
+    Test.make ~name:"remap/edited(des)"
+      (stage (fun () ->
+           incr next;
+           ignore (Mapper.Engine.remap edit_st edits.(!next mod 8))));
   ]
 
 (* Allocation evidence for docs/remap.md and the BENCH JSON: minor heap
    words allocated per mapped cone on the remap path, published through
    the metrics registry so a --json run carries the numbers next to the
    timing rows.  Cold re-prices an edited des from a fresh memo; warm is
-   the remap steady state (the whole-network fast path), which allocates
-   nothing per cone. *)
+   the whole-network fast path, which allocates nothing per cone.  The
+   edit pair is the edit loop itself: remapping each fresh edit of
+   [des_edits] against the des baseline, against a memo-free map of the
+   same edits. *)
 let publish_alloc_evidence () =
   let opts = Mapper.Engine.default_options in
   let des_unate = Mapper.Algorithms.prepare (Gen.Suite.build_exn "des") in
   let edited = Check.Edit.apply ~seed:42 des_unate in
   let st, _ = Mapper.Engine.remap_init opts des_unate in
   ignore (Mapper.Engine.remap st edited);
-  let des_nodes = Unate.Unetwork.node_count edited in
-  let measure_des runs f =
+  let per_cone nets f =
     Gc.full_major ();
     let w0 = Gc.minor_words () in
-    for _ = 1 to runs do f () done;
-    (Gc.minor_words () -. w0) /. float_of_int (runs * des_nodes)
+    List.iter f nets;
+    (Gc.minor_words () -. w0)
+    /. float_of_int
+         (List.fold_left (fun acc u -> acc + Unate.Unetwork.node_count u) 0 nets)
   in
   let cold_des =
-    measure_des 3 (fun () ->
-        ignore (Mapper.Engine.map ~memo:(Mapper.Memo.create ()) opts edited))
+    per_cone [ edited; edited; edited ] (fun u ->
+        ignore (Mapper.Engine.map ~memo:(Mapper.Memo.create ()) opts u))
   in
   let warm_des =
-    measure_des 50 (fun () -> ignore (Mapper.Engine.remap st edited))
+    per_cone (List.init 50 (fun _ -> edited)) (fun u ->
+        ignore (Mapper.Engine.remap st u))
   in
+  let edits = Array.to_list (des_edits des_unate) in
+  let edit_st, _ = Mapper.Engine.remap_init opts des_unate in
+  let edit_remap =
+    per_cone edits (fun u -> ignore (Mapper.Engine.remap edit_st u))
+  in
+  let edit_free = per_cone edits (fun u -> ignore (Mapper.Engine.map opts u)) in
   let c name v =
     Obs.Metrics.add (Obs.Metrics.counter name) (int_of_float v)
   in
   c "bench.minor_words_per_cone_cold(des)" cold_des;
   c "bench.minor_words_per_cone_warm_remap(des)" warm_des;
+  c "bench.minor_words_per_cone_edit_remap(des)" edit_remap;
+  c "bench.minor_words_per_cone_edit_memo_free(des)" edit_free;
   Printf.printf
     "alloc: minor words per mapped cone — des cold %.0f, des warm remap \
-     %.2f (%.0fx)\n%!"
+     %.2f (%.0fx); fresh des edits: remap %.0f vs memo-free %.0f (%.2fx)\n%!"
     cold_des warm_des
     (cold_des /. Float.max warm_des 0.01)
+    edit_remap edit_free
+    (edit_remap /. Float.max edit_free 0.01)
 
 let benchmark tests =
   let instances = Instance.[ monotonic_clock ] in

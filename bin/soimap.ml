@@ -414,22 +414,13 @@ let remap_outcome ~budget ?memo ~cost ~w_max ~h_max f ~base net =
     in
     let st, _ = Mapper.Engine.remap_init ~budget ?memo options u0 in
     let circuit, stats, info = Mapper.Engine.remap ~budget st u1 in
-    let circuit = Mapper.Algorithms.postprocess f circuit in
     Printf.eprintf
       "soimap: remap [%s]: %d dirty / %d clean cones, %d warm hits, %d misses\n\
        %!"
       (Mapper.Algorithms.flow_name f)
       info.Mapper.Engine.dirty_cones info.Mapper.Engine.clean_cones
       info.Mapper.Engine.memo_hits info.Mapper.Engine.memo_misses;
-    Resilience.Outcome.Ok
-      {
-        Mapper.Algorithms.circuit;
-        counts = Domino.Circuit.counts circuit;
-        unate = u1;
-        mapped = u1;
-        stats;
-        rewrite = None;
-      }
+    Resilience.Outcome.Ok (Mapper.Algorithms.finish f u1 circuit stats)
   with Resilience.Budget.Exhausted reason -> Resilience.Outcome.Failed reason
 
 let main jobs blif bench_file pla bench flow cost w_max h_max rewrite remap_base

@@ -5,7 +5,8 @@
 open Mapper
 
 let m = Cost.area
-let leaf i = Soi_rules.leaf_pi m ~input:i ~positive:true
+(* A tuple names no signal; the index only labels the figure's inputs. *)
+let leaf _input = Soi_rules.leaf_pi m
 
 let show label (s : Soi_rules.sol) =
   Printf.printf "  %-28s {W=%d, H=%d, cost=%d}  p_dis=%d  par_b=%b  committed=%d\n"

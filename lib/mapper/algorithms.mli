@@ -106,6 +106,13 @@ val postprocess : flow -> Domino.Circuit.t -> Domino.Circuit.t
     service's incremental-remap op — can emit exactly the circuit the
     flow would. *)
 
+val finish :
+  flow -> Unate.Unetwork.t -> Domino.Circuit.t -> Engine.stats -> result
+(** [finish flow u circuit stats] packages an engine mapping of [u] the
+    way {!run} does: the flow's {!postprocess}, then the counts.  Exposed
+    so out-of-band mappings of [u] — the incremental remap of the CLI and
+    of the daemon — emit exactly the result the flow would. *)
+
 val prepare : ?extract:bool -> Logic.Network.t -> Unate.Unetwork.t
 (** [prepare net] is the shared front end: strash, optional shared-divisor
     extraction ({!Logic.Extract}), decompose to 2-input AND/OR,

@@ -31,18 +31,16 @@ type stats = {
   gates_formed : int;
 }
 
-(* Gate formed for a unate node, before circuit ids are assigned. *)
+(* Gate formed for a unate node, before circuit ids are assigned.  The
+   tuple's derivation names fanins of [gi_node], not signals; the
+   materialiser resolves it against the network. *)
 type gate_info = {
-  gi_structure : Pdn.t;
+  gi_node : int;
+  gi_sol : Soi_rules.sol;
   gi_footed : bool;
   gi_level : int;
   gi_value : Cost.value;  (* formation cost, overhead and discharges included *)
   gi_disch : int;  (* discharge transistors this gate will carry *)
-}
-
-type entry = {
-  table : Soi_rules.sol list array;  (* (w-1) * h_max + (h-1); Pareto set *)
-  mutable gate : gate_info option;
 }
 
 (* Mapper observability (see docs/observability.md).  Counts are
@@ -75,13 +73,12 @@ let h_par_b = Obs.Metrics.histogram ~buckets:[| 0; 1 |] "mapper.par_b"
    network and cannot blow the budget it is rescuing.
 
    [memo] is the structural cache ({!Memo}): before expanding a node's
-   combination loop the sweep looks its canonical subtree up, and a hit
-   installs the reconstructed slot array verbatim.  Memoization is
-   exactly transparent — same circuit, same stats — except that
-   [combinations_tried] (and the tuple-budget charge) counts only
-   combinations actually executed, so hits lower it.  The greedy rung
-   never consults the cache: it changes the mapping-boundary rule, so
-   its tables live in a different world. *)
+   combination loop the sweep looks its key up, and a hit installs the
+   cached slot array itself.  Memoization is exactly transparent — same
+   circuit, same stats — except that [combinations_tried] (and the
+   tuple-budget charge) counts only combinations actually executed, so
+   hits lower it.  The greedy rung never consults the cache: it changes
+   the mapping-boundary rule, so its tables live in a different world. *)
 let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
   if options.w_max < 2 || options.h_max < 2 then
     invalid_arg "Engine.map: w_max and h_max must be at least 2";
@@ -90,10 +87,11 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
   let model = options.cost in
   let n = Unetwork.node_count u in
   let fanouts = Unetwork.fanout_counts u in
-  let entries =
-    Array.init n (fun _ ->
-        { table = Array.make (options.w_max * options.h_max) []; gate = None })
-  in
+  (* Each node's slot array, (w-1) * h_max + (h-1), each slot a Pareto
+     set.  A memo hit installs the cached array itself, so no table is
+     written once its node is done. *)
+  let tables = Array.make n [||] in
+  let gates = Array.make n None in
   let combinations = ref 0 in
   (* Tuples rejected on arrival, evicted by a dominating newcomer, or
      truncated off the frontier cap.  The accounting is hoisted behind
@@ -213,19 +211,20 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
         sorted
   in
   (* One candidate: [op] over fanin tuples [a] (a series pair's top)
-     and [b].  The bounds and dominance tests read only scalars, so a
-     candidate rejected on arrival counts one pruned tuple and is never
-     built; only a survivor allocates its tuple, cost value and PDN
-     node.  A survivor evicts the tuples it dominates, then the slot is
-     re-sorted and capped. *)
-  let price entry op a b =
+     and [b]; [flipped] when [a] came from fanin 1.  The bounds and
+     dominance tests read only scalars, so a candidate rejected on
+     arrival counts one pruned tuple and is never built; only a survivor
+     allocates its tuple, cost value and derivation node.  A survivor
+     evicts the tuples it dominates, then the slot is re-sorted and
+     capped. *)
+  let price table op ~flipped a b =
     let w = Soi_rules.width op a b and h = Soi_rules.height op a b in
     if w > options.w_max || h > options.h_max then begin
       if counting then incr pruned
     end
     else begin
       let i = slot w h in
-      let kept = entry.table.(i) in
+      let kept = table.(i) in
       if
         dominated kept ~par_b:(Soi_rules.par_b op a b)
           ~has_pi:(Soi_rules.has_pi a b)
@@ -235,7 +234,10 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
         if counting then incr pruned
       end
       else begin
-        let s = Soi_rules.combine model op a b in
+        let s =
+          if flipped then Soi_rules.combine ~flipped:true model op a b
+          else Soi_rules.combine model op a b
+        in
         let survivors =
           List.filter (fun old -> not (dominates_sol s old)) kept
         in
@@ -245,14 +247,15 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
         let capped = cap_frontier sorted in
         (if counting then
            pruned := !pruned + (List.length sorted - List.length capped));
-        entry.table.(i) <- capped
+        table.(i) <- capped
       end
     end
   in
 
-  (* The gate formed over one inline tuple: overhead for the foot,
-     uncommitted discharges when feet are left floating, one level up. *)
-  let form_info (s : Soi_rules.sol) =
+  (* The gate formed over tuple [s] of node [node]: overhead for the
+     foot, uncommitted discharges when feet are left floating, one level
+     up. *)
+  let form_info node (s : Soi_rules.sol) =
     let footed = s.Soi_rules.has_pi in
     let extra_disch =
       if options.grounded_at_foot then 0 else s.Soi_rules.p_dis
@@ -265,34 +268,42 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
               (Cost.discharges model extra_disch)))
     in
     {
-      gi_structure = s.Soi_rules.structure;
+      gi_node = node;
+      gi_sol = s;
       gi_footed = footed;
       gi_level = value.Cost.depth;
       gi_value = value;
       gi_disch = s.Soi_rules.disch + extra_disch;
     }
   in
+  (* The raw transistors [form_info] adds beyond the ones every gate
+     pays: with [formed_key] it orders candidate gates exactly as
+     [Cost.compare_values] orders their formed values. *)
+  let formed_raw s =
+    s.Soi_rules.value.Cost.raw
+    + (if s.Soi_rules.has_pi then 1 else 0)
+    + if options.grounded_at_foot then 0 else s.Soi_rules.p_dis
+  in
 
-  (* The gate a node forms, computed after its table is complete. *)
+  (* The gate a node forms, computed after its table is complete: the
+     first tuple whose formed value is least, by scalars, so only the
+     winner's gate is built. *)
   let form_gate id =
-    let entry = entries.(id) in
-    let best = ref None in
+    let best = ref None and best_key = ref 0 and best_raw = ref 0 in
     Array.iter
-      (fun cands ->
-        List.iter
-          (fun (s : Soi_rules.sol) ->
-            let info = form_info s in
-            let better =
-              match !best with
-              | None -> true
-              | Some b -> Cost.compare_values model info.gi_value b.gi_value < 0
-            in
-            if better then best := Some info)
-          cands)
-      entry.table;
+      (List.iter (fun (s : Soi_rules.sol) ->
+           let k = formed_key s and r = formed_raw s in
+           match !best with
+           | Some _ when k > !best_key || (k = !best_key && r >= !best_raw) -> ()
+           | _ ->
+               best := Some s;
+               best_key := k;
+               best_raw := r))
+      tables.(id);
     match !best with
-    | Some info ->
-        entry.gate <- Some info;
+    | Some s ->
+        let info = form_info id s in
+        gates.(id) <- Some info;
         info
     | None ->
         (* Unreachable in practice: every AND/OR node admits at least the
@@ -315,8 +326,9 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
      shallower-but-heavier one each win beside different siblings — and
      the exact oracle proved the single commitment drops the optimum
      (fuzz seed 1, run 230).  Each alternative is registered here under a
-     synthetic gate id (>= node count) so the winning structure names the
-     exact gate it was costed with and [materialise] emits that one. *)
+     synthetic gate id (>= node count), and its leaf tuple's derivation
+     is [Formed id], so the winning structure names the exact gate it
+     was costed with and [materialise] emits that one. *)
   let alt_gates : (int, gate_info) Hashtbl.t = Hashtbl.create 16 in
   let next_alt = ref n in
   let register_alt info =
@@ -328,11 +340,12 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
 
   let gate_of id =
     if id >= n then Hashtbl.find alt_gates id
-    else
-      match entries.(id).gate with Some g -> g | None -> form_gate id
+    else match gates.(id) with Some g -> g | None -> form_gate id
   in
 
-  (* Candidate tuples a fanin offers to its consumer. *)
+  (* Candidate tuples a fanin offers to its consumer.  A leaf names no
+     signal, so every literal offers the same tuple. *)
+  let pi_leaf = Soi_rules.leaf_pi model in
   let options_of fin =
     match fin with
     | Unetwork.F_const _ ->
@@ -342,15 +355,14 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
         invalid_arg
           "Engine.map: constant fanin reached the DP sweep; unate networks \
            from Unetwork.of_network/with_structure fold constants away"
-    | Unetwork.F_lit { input; positive } ->
-        [ Soi_rules.leaf_pi model ~input ~positive ]
+    | Unetwork.F_lit _ -> [ pi_leaf ]
     | Unetwork.F_node m ->
         let shared = fanouts.(m) > 1 || greedy in
         if shared then begin
           let gi = gate_of m in
           [
-            Soi_rules.leaf_gate model ~node:m ~level:gi.gi_level
-              ~carried:Cost.zero ~carried_disch:0;
+            Soi_rules.leaf_gate model ~level:gi.gi_level ~carried:Cost.zero
+              ~carried_disch:0;
           ]
         end
         else if model.Cost.depth_factor = 0 then begin
@@ -358,12 +370,12 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
              orders the candidates (depth does not enter the key). *)
           let gi = gate_of m in
           let gate_sol =
-            Soi_rules.leaf_gate model ~node:m ~level:gi.gi_level
-              ~carried:gi.gi_value ~carried_disch:gi.gi_disch
+            Soi_rules.leaf_gate model ~level:gi.gi_level ~carried:gi.gi_value
+              ~carried_disch:gi.gi_disch
           in
           Array.fold_left
             (fun acc cands -> List.rev_append cands acc)
-            [ gate_sol ] entries.(m).table
+            [ gate_sol ] tables.(m)
         end
         else begin
           (* Depth objective: offer one formed alternative per distinct
@@ -377,7 +389,7 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
               (fun acc cands ->
                 List.fold_left
                   (fun acc s ->
-                    let info = form_info s in
+                    let info = form_info m s in
                     let k =
                       ( info.gi_value,
                         info.gi_footed,
@@ -388,26 +400,29 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
                     else begin
                       Hashtbl.replace seen k ();
                       let fid = register_alt info in
-                      Soi_rules.leaf_gate model ~node:fid ~level:info.gi_level
-                        ~carried:info.gi_value ~carried_disch:info.gi_disch
+                      {
+                        (Soi_rules.leaf_gate model ~level:info.gi_level
+                           ~carried:info.gi_value ~carried_disch:info.gi_disch)
+                        with
+                        Soi_rules.structure = Soi_rules.Formed fid;
+                      }
                       :: acc
                     end)
                   acc cands)
-              [] entries.(m).table
+              [] tables.(m)
           in
           Array.fold_left
             (fun acc cands -> List.rev_append cands acc)
-            alts entries.(m).table
+            alts tables.(m)
         end
   in
 
   (* The memo session, opened only for full (non-greedy) sweeps with a
-     table supplied.  [boundary_level] forms the boundary gate on demand,
-     exactly as [options_of] would moments later.  Depth objectives
-     bypass the cache: their tables reference the run-local synthetic
-     gate ids of formed-gate alternatives, which are meaningless in any
-     other run (see [register_alt]).  [layers] = [(shared, prev)] makes
-     [memo] a remap overlay ({!Memo.start}). *)
+     table supplied.  Depth objectives bypass the cache: their tables
+     reference the run-local synthetic gate ids of formed-gate
+     alternatives, which are meaningless in any other run (see
+     [register_alt]).  [layers] = [(shared, prev)] makes [memo] a remap
+     overlay ({!Memo.start}). *)
   let mrun =
     match memo with
     | Some tbl when (not greedy) && model.Cost.depth_factor = 0 ->
@@ -417,13 +432,28 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
           | None -> (None, None)
         in
         Some
-          (Memo.start ?under ?prev tbl ~u ~fanouts ~model ~w_max:options.w_max
+          (Memo.start ?under ?prev tbl ~model ~w_max:options.w_max
              ~h_max:options.h_max
              ~soi:(options.style = Soi)
              ~both_orders:options.both_orders
              ~grounded:options.grounded_at_foot ~pareto:options.pareto_width
-             ~salt:memo_salt
-             ~boundary_level:(fun m -> (gate_of m).gi_level))
+             ~salt:memo_salt)
+    | _ -> None
+  in
+  (* Each node's code for its consumer's key: the id of its entry. *)
+  let codes = Array.make (if mrun = None then 0 else n) Memo.pi in
+  let code = function
+    | Unetwork.F_lit _ -> Some Memo.pi
+    | Unetwork.F_const _ -> None
+    | Unetwork.F_node m ->
+        if fanouts.(m) > 1 then
+          Some (Memo.boundary ~level:(gate_of m).gi_level)
+        else Some codes.(m)
+  in
+  let memo_key r (nd : Unetwork.node) =
+    match (code nd.Unetwork.fanin0, code nd.Unetwork.fanin1) with
+    | Some c0, Some c1 ->
+        Some (Memo.key r ~op_and:(nd.Unetwork.kind = Unetwork.U_and) c0 c1)
     | _ -> None
   in
 
@@ -432,40 +462,56 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
      consulted once per node plus every 2048 combinations, so a tripped
      budget surfaces within a bounded amount of further work.  Memo hits
      skip a node's combination loop (and its budget charge) entirely. *)
+  (* Tuples that survive in the final tables — evicted and superseded
+     entries do not count. *)
+  let tuples_kept = ref 0 in
+  let solve id (nd : Unetwork.node) =
+    let table = Array.make (options.w_max * options.h_max) [] in
+    let opts0 = options_of nd.Unetwork.fanin0 in
+    let opts1 = options_of nd.Unetwork.fanin1 in
+    List.iter
+      (fun s0 ->
+        List.iter
+          (fun s1 ->
+            incr combinations;
+            Resilience.Budget.charge_tuples budget 1;
+            if !combinations land 2047 = 0 then
+              Resilience.Budget.check_deadline budget;
+            match nd.Unetwork.kind with
+            | Unetwork.U_or -> price table Soi_rules.Or ~flipped:false s0 s1
+            | Unetwork.U_and -> (
+                match options.style with
+                | Bulk -> price table Soi_rules.And_bulk ~flipped:false s0 s1
+                | Soi ->
+                    if options.both_orders then begin
+                      price table Soi_rules.And_soi ~flipped:false s0 s1;
+                      price table Soi_rules.And_soi ~flipped:true s1 s0
+                    end
+                    else if Soi_rules.heuristic_swaps s0 s1 then
+                      price table Soi_rules.And_soi ~flipped:true s1 s0
+                    else price table Soi_rules.And_soi ~flipped:false s0 s1))
+          opts1)
+      opts0;
+    tables.(id) <- table;
+    tuples_kept :=
+      Array.fold_left (fun acc cands -> acc + List.length cands) !tuples_kept table;
+    table
+  in
   for id = 0 to n - 1 do
     Resilience.Budget.check_deadline budget;
-    let entry = entries.(id) in
-    match (match mrun with Some r -> Memo.find r id | None -> None) with
-    | Some table -> Array.blit table 0 entry.table 0 (Array.length table)
-    | None ->
-        let nd = Unetwork.node u id in
-        let opts0 = options_of nd.Unetwork.fanin0 in
-        let opts1 = options_of nd.Unetwork.fanin1 in
-        List.iter
-          (fun s0 ->
-            List.iter
-              (fun s1 ->
-                incr combinations;
-                Resilience.Budget.charge_tuples budget 1;
-                if !combinations land 2047 = 0 then
-                  Resilience.Budget.check_deadline budget;
-                match nd.Unetwork.kind with
-                | Unetwork.U_or -> price entry Soi_rules.Or s0 s1
-                | Unetwork.U_and -> (
-                    match options.style with
-                    | Bulk -> price entry Soi_rules.And_bulk s0 s1
-                    | Soi ->
-                        if options.both_orders then begin
-                          price entry Soi_rules.And_soi s0 s1;
-                          price entry Soi_rules.And_soi s1 s0
-                        end
-                        else begin
-                          let top, bottom = Soi_rules.heuristic_and_order s0 s1 in
-                          price entry Soi_rules.And_soi top bottom
-                        end))
-              opts1)
-          opts0;
-        (match mrun with Some r -> Memo.store r id entry.table | None -> ())
+    let nd = Unetwork.node u id in
+    match mrun with
+    | None -> ignore (solve id nd)
+    | Some r -> (
+        match memo_key r nd with
+        | None -> ignore (solve id nd)
+        | Some k -> (
+            match Memo.find r k with
+            | Some e ->
+                tables.(id) <- Memo.table e;
+                codes.(id) <- Memo.id e;
+                tuples_kept := !tuples_kept + Memo.tuples e
+            | None -> codes.(id) <- Memo.id (Memo.store r k (solve id nd))))
   done;
 
   (* Close the memo session: fold its counts into the table and the
@@ -473,47 +519,96 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
   (match mrun with
   | None -> ()
   | Some r ->
-      let hits, misses, collisions = Memo.finish r in
+      let hits, misses = Memo.finish r in
       Obs.Trace.with_span ~cat:"mapper" "engine.memo"
         ~args:(fun () ->
-          [
-            ("hits", string_of_int hits);
-            ("misses", string_of_int misses);
-            ("collisions", string_of_int collisions);
-          ])
+          [ ("hits", string_of_int hits); ("misses", string_of_int misses) ])
         (fun () -> ()));
 
-  (* Materialise the gates reachable from the primary outputs. *)
+  (* Materialise the gates reachable from the primary outputs.  A
+     gate's PDN is its tuple's derivation resolved against the network:
+     a leaf is the literal or gate of the fanin that offered it, a
+     composition at node [v] takes its operands from [v]'s fanins. *)
   let circuit_gates = Logic.Vec.create () in
-  let circuit_id : (int, int) Hashtbl.t = Hashtbl.create 256 in
+  let circuit_id = Array.make !next_alt (-1) in
+  let broken v =
+    invalid_arg
+      (Printf.sprintf "Engine.materialise: malformed derivation at node %d" v)
+  in
+  (* The gate ids (unate node, or formed alternative) that gate the
+     transistors of node [v]'s tuple [s]. *)
+  let rec fanin_gates v (s : Soi_rules.sol) acc =
+    let nd = Unetwork.node u v in
+    match s.Soi_rules.structure with
+    | Soi_rules.Parallel (a, b) | Soi_rules.Series (a, b) ->
+        offered v nd.Unetwork.fanin0 a (offered v nd.Unetwork.fanin1 b acc)
+    | Soi_rules.Series_flipped (a, b) ->
+        offered v nd.Unetwork.fanin1 a (offered v nd.Unetwork.fanin0 b acc)
+    | Soi_rules.Leaf | Soi_rules.Formed _ -> broken v
+  and offered v fin (s : Soi_rules.sol) acc =
+    match (s.Soi_rules.structure, fin) with
+    | Soi_rules.Formed k, _ -> k :: acc
+    | Soi_rules.Leaf, Unetwork.F_node m -> m :: acc
+    | Soi_rules.Leaf, Unetwork.F_lit _ -> acc
+    | _, Unetwork.F_node m -> fanin_gates m s acc
+    | _, (Unetwork.F_lit _ | Unetwork.F_const _) -> broken v
+  in
+  let rec pdn v (s : Soi_rules.sol) =
+    let nd = Unetwork.node u v in
+    match s.Soi_rules.structure with
+    | Soi_rules.Parallel (a, b) ->
+        Pdn.Parallel
+          (offered_pdn v nd.Unetwork.fanin0 a, offered_pdn v nd.Unetwork.fanin1 b)
+    | Soi_rules.Series (a, b) ->
+        Pdn.Series
+          (offered_pdn v nd.Unetwork.fanin0 a, offered_pdn v nd.Unetwork.fanin1 b)
+    | Soi_rules.Series_flipped (a, b) ->
+        Pdn.Series
+          (offered_pdn v nd.Unetwork.fanin1 a, offered_pdn v nd.Unetwork.fanin0 b)
+    | Soi_rules.Leaf | Soi_rules.Formed _ -> broken v
+  and offered_pdn v fin (s : Soi_rules.sol) =
+    match (s.Soi_rules.structure, fin) with
+    | Soi_rules.Formed k, _ -> Pdn.Leaf (Pdn.S_gate circuit_id.(k))
+    | Soi_rules.Leaf, Unetwork.F_node m -> Pdn.Leaf (Pdn.S_gate circuit_id.(m))
+    | Soi_rules.Leaf, Unetwork.F_lit { input; positive } ->
+        Pdn.Leaf (Pdn.S_pi { input; positive })
+    | _, Unetwork.F_node m -> pdn m s
+    | _, (Unetwork.F_lit _ | Unetwork.F_const _) -> broken v
+  in
+  (* A gate's sorted fanin gate ids, kept from its first visit for its
+     last. *)
+  let fanins_of = Array.make !next_alt None in
   let materialise root =
     let stack = ref [ root ] in
     while !stack <> [] do
       match !stack with
       | [] -> ()
       | m :: rest ->
-          if Hashtbl.mem circuit_id m then stack := rest
+          if circuit_id.(m) >= 0 then stack := rest
           else begin
             let gi = gate_of m in
-            let deps =
-              List.filter
-                (fun q -> not (Hashtbl.mem circuit_id q))
-                (Pdn.gate_fanins gi.gi_structure)
+            let fanins =
+              match fanins_of.(m) with
+              | Some fanins -> fanins
+              | None ->
+                  let fanins =
+                    List.sort_uniq Int.compare
+                      (fanin_gates gi.gi_node gi.gi_sol [])
+                  in
+                  fanins_of.(m) <- Some fanins;
+                  fanins
             in
-            match deps with
+            match List.filter (fun q -> circuit_id.(q) < 0) fanins with
             | [] ->
-                let remap = function
-                  | Pdn.S_gate q -> Pdn.S_gate (Hashtbl.find circuit_id q)
-                  | (Pdn.S_pi _ | Pdn.S_const _) as s -> s
-                in
-                let pdn = Pdn.map_signals remap gi.gi_structure in
+                let pdn = pdn gi.gi_node gi.gi_sol in
                 let level =
                   1
                   + List.fold_left
                       (fun acc q ->
                         max acc
-                          (Logic.Vec.get circuit_gates q).Domino_gate.level)
-                      0 (Pdn.gate_fanins pdn)
+                          (Logic.Vec.get circuit_gates circuit_id.(q))
+                            .Domino_gate.level)
+                      0 fanins
                 in
                 let discharge_points =
                   match options.style with
@@ -522,7 +617,7 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
                       Pbe_analysis.discharge_points
                         ~grounded:options.grounded_at_foot pdn
                 in
-                let id' =
+                circuit_id.(m) <-
                   Logic.Vec.push circuit_gates
                     {
                       Domino_gate.id = Logic.Vec.length circuit_gates;
@@ -530,11 +625,9 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
                       footed = gi.gi_footed;
                       discharge_points;
                       level;
-                    }
-                in
-                Hashtbl.replace circuit_id m id';
+                    };
                 stack := rest
-            | _ -> stack := deps @ !stack
+            | deps -> stack := deps @ !stack
           end
     done
   in
@@ -551,7 +644,7 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
         | Unetwork.F_lit { input; positive } -> (nm, Pdn.S_pi { input; positive })
         | Unetwork.F_node m ->
             materialise m;
-            (nm, Pdn.S_gate (Hashtbl.find circuit_id m)))
+            (nm, Pdn.S_gate circuit_id.(m)))
       (Unetwork.outputs u)
   in
   let circuit =
@@ -562,20 +655,12 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
       outputs;
     }
   in
-  (* Tuples that survived in the final tables — evicted and superseded
-     entries do not count. *)
-  let tuples_kept =
-    Array.fold_left
-      (fun acc e ->
-        Array.fold_left (fun acc cands -> acc + List.length cands) acc e.table)
-      0 entries
-  in
   (* One registry flush per map call; the whole block is skipped when
      collection is off, so the disabled cost is this single branch. *)
   if Obs.Metrics.enabled () then begin
     Obs.Metrics.add m_nodes n;
     Obs.Metrics.add m_combinations !combinations;
-    Obs.Metrics.add m_tuples_kept tuples_kept;
+    Obs.Metrics.add m_tuples_kept !tuples_kept;
     Obs.Metrics.add m_tuples_pruned !pruned;
     Obs.Metrics.add m_gates (Array.length circuit.Circuit.gates);
     Array.iter
@@ -584,24 +669,24 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
           (List.length g.Domino_gate.discharge_points))
       circuit.Circuit.gates;
     Array.iter
-      (fun e ->
+      (fun table ->
         let frontier =
           Array.fold_left
             (fun acc cands -> acc + List.length cands)
-            0 e.table
+            0 table
         in
         Obs.Metrics.observe h_frontier frontier;
         Array.iter
           (List.iter (fun (s : Soi_rules.sol) ->
                Obs.Metrics.observe h_p_dis s.Soi_rules.p_dis;
                Obs.Metrics.observe h_par_b (if s.Soi_rules.par_b then 1 else 0)))
-          e.table)
-      entries
+          table)
+      tables
   end;
   ( circuit,
     {
       nodes_processed = n;
-      tuples_kept;
+      tuples_kept = !tuples_kept;
       combinations_tried = !combinations;
       gates_formed = Array.length circuit.Circuit.gates;
     },
@@ -611,7 +696,7 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
        queries about interior nodes no consumer turned into a gate. *)
     fun id ->
       if id < 0 || id >= n then None
-      else Option.map (fun g -> g.gi_value) entries.(id).gate )
+      else Option.map (fun g -> g.gi_value) gates.(id) )
 
 let map_impl ?layers ~greedy ~budget ~memo ~memo_salt options u =
   Obs.Trace.with_span ~cat:"mapper" "engine.map"
@@ -716,6 +801,13 @@ let unetwork_equal a b =
   go 0
 
 let remap ?(budget = Resilience.Budget.unlimited) st u =
+  Obs.Trace.with_span ~cat:"mapper" "engine.remap"
+    ~args:(fun () ->
+      [
+        ("source", Unetwork.source_name u);
+        ("nodes", string_of_int (Unetwork.node_count u));
+      ])
+  @@ fun () ->
   if unetwork_equal st.rs_u u then begin
     (* Identical network: the cached answer IS the cold answer (memo
        transparency), every cone is clean, and no memo traffic happens

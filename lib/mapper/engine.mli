@@ -77,9 +77,10 @@ val map :
     [budget] (default unlimited) bounds the DP sweep: every fanin-tuple
     combination charges the tuple allowance and the wall clock is
     checked cooperatively (per node and every 2048 combinations).
-    [memo] supplies a structural cache ({!Memo}): canonical subtrees
-    already solved under the same cost-model and options fingerprints
-    skip their combination loops.  [memo_salt] (default 0) is folded
+    [memo] supplies a structural cache ({!Memo}): a node whose exact key
+    (operator plus its fanins' codes, under the same cost-model and
+    options fingerprints) is already cached installs the cached table
+    and skips its combination loop.  [memo_salt] (default 0) is folded
     into the memo key fingerprint; callers that map a {e transformed}
     view of the input — the rewriting front end ({!Restructure}) — pass
     a salt derived from the transformation so their entries never serve

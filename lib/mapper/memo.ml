@@ -3,124 +3,100 @@ open Unate
 (* Structural memoization for the DP mapper (see memo.mli and
    docs/mapping-cache.md for the design and the transparency argument).
 
-   The cache stores, per canonical subtree, the complete slot array of
-   Pareto frontiers with identity-erased leaves.  A node's subtree spans
-   its single-fanout fanin cone: multi-fanout fanins are mapping
-   boundaries and appear as gate leaves carrying only their level (the
-   one scalar a boundary contributes to its consumer's tuples).  A hit
-   substitutes the instance's actual leaf signals back into the
-   canonical structures; the scalars are copied verbatim.
+   A node's table is a function of its operator, of what each fanin
+   offers it, and of the run's options.  A fanin offers one leaf (a
+   primary-input literal, or a boundary gate at some level) or, when it
+   is a single-fanout node, its own table.  So the key of a node is its
+   operator plus one code per fanin: the leaf kind, or the id of the
+   fanin's own entry.  The key is exact, ordered and O(1) per node, and
+   since tuples name no signal (Soi_rules.structure), a hit hands the
+   engine the cached table itself. *)
 
-   Canonical ids are assigned to the *distinct* signals of a subtree in
-   first-occurrence DFS order (node before fanin0 before fanin1), so the
-   duplicate-leaf pattern is part of the canonical shape: [a*a] and
-   [a*b] have equal identity-erased signatures but different shapes, and
-   never share an entry.  Internal single-fanout nodes get ids too,
-   because the engine's cumulative-cost rule lets their formed gates
-   appear as leaves inside their consumer's structures. *)
+(* ---------- keys ---------- *)
 
-(* ---------- 128-bit structural signatures ---------- *)
-
-type signature = { hi : int64; lo : int64 }
-
-(* splitmix64 finalizer: a cheap, well-mixed avalanche. *)
-let mix64 z =
-  let z =
-    Int64.mul
-      (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xbf58476d1ce4e5b9L
-  in
-  let z =
-    Int64.mul
-      (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94d049bb133111ebL
-  in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-(* Leaf hashes are identity-erased: every primary-input literal shares
-   one constant, and a boundary gate hashes only its level. *)
-let sig_pi =
-  { hi = mix64 0x517cc1b727220a95L; lo = mix64 0x2545f4914f6cdd1dL }
-
-let sig_gate level =
-  let l = Int64.of_int level in
-  {
-    hi = mix64 (Int64.add 0x9e3779b97f4a7c15L l);
-    lo = mix64 (Int64.add 0xd6e8feb86659fd93L (Int64.mul l 0x2127599bf4325c37L));
-  }
-
-(* Symmetric in (a, b): sums and products only, so commutative
-   mirror-images collide on purpose and are separated by the ordered
-   shape comparison below. *)
-let sig_node op_and a b =
-  let ks = if op_and then 0x8cb92ba72f3d8dd7L else 0x61c8864680b583ebL in
-  {
-    hi = mix64 (Int64.add ks (Int64.add a.hi b.hi));
-    lo =
-      mix64
-        (Int64.add (mix64 ks)
-           (Int64.logxor (Int64.mul a.lo b.lo) (Int64.add a.lo b.lo)));
-  }
-
-(* ---------- canonical shapes and tables ---------- *)
-
-(* The ordered collision-check value: operator kinds, fanin order,
-   boundary levels, and the first-occurrence canonical-id pattern. *)
-type shape =
-  | Sh_node of { op_and : bool; cid : int; s0 : shape; s1 : shape }
-  | Sh_pi of int
-  | Sh_gate of { cid : int; level : int }
-
-type ctree = C_leaf of int | C_ser of ctree * ctree | C_par of ctree * ctree
-
-(* Soi_rules.sol with the structure canonicalized and the cost value
-   flattened; plain data, safe to marshal. *)
-type csol = {
-  c_w : int;
-  c_h : int;
-  c_weighted : int;
-  c_depth : int;
-  c_raw : int;
-  c_p_dis : int;
-  c_par_b : bool;
-  c_has_pi : bool;
-  c_disch : int;
-  c_structure : ctree;
+(* What a table depends on besides the cone: the cost model's weights
+   (not its name: equal weights mean equal tables), the engine options,
+   and the caller's salt. *)
+type world = {
+  regular : int;
+  clocked : int;
+  discharge : int;
+  depth_factor : int;
+  w_max : int;
+  h_max : int;
+  soi : bool;
+  both_orders : bool;
+  grounded : bool;
+  pareto : int;
+  salt : int;
 }
 
-type key = {
-  k_hi : int64;
-  k_lo : int64;
-  (* cost-model fingerprint: the four weight scalars (the name is
-     deliberately excluded — equal weights mean equal tables) *)
-  k_regular : int;
-  k_clocked : int;
-  k_discharge : int;
-  k_depth_factor : int;
-  (* options fingerprint *)
-  k_w_max : int;
-  k_h_max : int;
-  k_soi : bool;
-  k_both : bool;
-  k_grounded : bool;
-  k_pareto : int;
-  (* caller-supplied salt (0 = plain mapping); the rewriting front end
-     folds its pattern-set fingerprint and variant budget in here so a
-     warm cache from a non-rewrite run is never served under rewriting
-     (and vice versa) *)
-  k_salt : int;
+type key = { world : world; op_and : bool; c0 : int; c1 : int; hash : int }
+
+(* Fanin codes: entry ids are >= 0, leaves are negative. *)
+let pi = -1
+let boundary ~level = -2 - level
+
+let mix h x =
+  let h = (h lxor x) * 0x1E3779B97F4A7C15 in
+  h lxor (h lsr 29)
+
+let world_hash w =
+  List.fold_left mix 0x2545F4914F6CDD1
+    [
+      w.regular; w.clocked; w.discharge; w.depth_factor; w.w_max; w.h_max;
+      Bool.to_int w.soi; Bool.to_int w.both_orders; Bool.to_int w.grounded;
+      w.pareto; w.salt;
+    ]
+
+let make_key world ~world_hash ~op_and c0 c1 =
+  {
+    world;
+    op_and;
+    c0;
+    c1;
+    hash = mix (mix (mix world_hash (Bool.to_int op_and)) c0) c1 land max_int;
+  }
+
+module Tbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b =
+    a.c0 = b.c0 && a.c1 = b.c1 && a.op_and = b.op_and
+    && (a.world == b.world || a.world = b.world)
+
+  let hash k = k.hash
+end)
+
+(* ---------- tables ---------- *)
+
+(* Ids are unique across every table of the process, so the layers of a
+   remap overlay, which parents key through, never disagree on one. *)
+let next_id = Atomic.make 0
+let fresh_id () = Atomic.fetch_and_add next_id 1
+
+type entry = {
+  id : int;
+  key : key;
+  table : Soi_rules.sol list array;
+  tuples : int;  (* tuples in [table], so a hit need not count them *)
 }
 
-type entry = { e_shape : shape; e_table : csol list array }
+let make_entry key table =
+  {
+    id = fresh_id ();
+    key;
+    table;
+    tuples = Array.fold_left (fun acc c -> acc + List.length c) 0 table;
+  }
 
-type shard = { lock : Mutex.t; tbl : (key, entry list) Hashtbl.t }
+type shard = { lock : Mutex.t; tbl : entry Tbl.t }
 
 type t = {
   shards : shard array;  (* length is a power of two *)
   mask : int;
   hits : int Atomic.t;
   misses : int Atomic.t;
-  collisions : int Atomic.t;
   entries : int Atomic.t;
 }
 
@@ -128,7 +104,6 @@ type stats = { hits : int; misses : int; collisions : int; entries : int }
 
 let m_hit = Obs.Metrics.counter "cache.hit"
 let m_miss = Obs.Metrics.counter "cache.miss"
-let m_collision = Obs.Metrics.counter "cache.collision"
 let m_bytes = Obs.Metrics.counter "cache.bytes"
 
 let create ?(shards = 16) () =
@@ -139,11 +114,10 @@ let create ?(shards = 16) () =
   done;
   {
     shards =
-      Array.init !n (fun _ -> { lock = Mutex.create (); tbl = Hashtbl.create 64 });
+      Array.init !n (fun _ -> { lock = Mutex.create (); tbl = Tbl.create 64 });
     mask = !n - 1;
     hits = Atomic.make 0;
     misses = Atomic.make 0;
-    collisions = Atomic.make 0;
     entries = Atomic.make 0;
   }
 
@@ -151,299 +125,160 @@ let stats (t : t) =
   {
     hits = Atomic.get t.hits;
     misses = Atomic.get t.misses;
-    collisions = Atomic.get t.collisions;
+    collisions = 0;
     entries = Atomic.get t.entries;
   }
 
 let entry_count (t : t) = Atomic.get t.entries
+let shard_of t key = t.shards.((key.hash lsr 7) land t.mask)
 
-(* The signature spreads well, so it is also the shard selector. *)
-let shard_of t key = t.shards.(Int64.to_int key.k_lo land t.mask)
-
-let bucket_of t key =
+let lookup t key =
   let shard = shard_of t key in
   Mutex.lock shard.lock;
-  let bucket = Option.value (Hashtbl.find_opt shard.tbl key) ~default:[] in
+  let e = Tbl.find_opt shard.tbl key in
   Mutex.unlock shard.lock;
-  bucket
+  e
 
-(* Insert unless an equal-shape entry raced in first; entries are
-   immutable once published, so readers outside the lock are safe. *)
-let insert t key entry =
-  let shard = shard_of t key in
+(* Publish [entry] unless its key raced in first; either way return the
+   entry that holds the key.  Entries are immutable once published, so
+   readers outside the lock are safe. *)
+let insert t entry =
+  let shard = shard_of t entry.key in
   Mutex.lock shard.lock;
-  let bucket = Option.value (Hashtbl.find_opt shard.tbl key) ~default:[] in
-  let added =
-    if List.exists (fun e -> e.e_shape = entry.e_shape) bucket then false
-    else begin
-      Hashtbl.replace shard.tbl key (entry :: bucket);
-      true
-    end
+  let held =
+    match Tbl.find_opt shard.tbl entry.key with
+    | Some e -> e
+    | None ->
+        Tbl.add shard.tbl entry.key entry;
+        entry
   in
   Mutex.unlock shard.lock;
-  if added then Atomic.incr t.entries;
-  added
+  if held == entry then Atomic.incr t.entries;
+  held
+
+let entries t =
+  let all = ref [] in
+  Array.iter
+    (fun shard ->
+      Mutex.lock shard.lock;
+      Tbl.iter (fun _ e -> all := e :: !all) shard.tbl;
+      Mutex.unlock shard.lock)
+    t.shards;
+  List.sort (fun a b -> compare a.id b.id) !all
 
 (* ---------- per-mapping-run sessions ---------- *)
-
-(* Subtrees above this many nodes + leaves are not memoized: the shape
-   walk is linear in the subtree, and without a cap a single-fanout
-   chain would make the per-node bookkeeping quadratic. *)
-let max_shape = 512
-
-type node_info = Unmem | Mem of { s : signature; weight : int }
-
-(* Store-side context carried from a missed [find] to its [store]. *)
-type pending = {
-  p_id : int;
-  p_key : key;
-  p_shape : shape;
-  p_sig2cid : (Domino.Pdn.signal, int) Hashtbl.t;
-}
 
 type run = {
   table : t;
   under : t option;  (* overlay sessions: read-only shared layer *)
   prev : t option;  (* overlay sessions: previous overlay, copied up on a hit *)
-  u : Unetwork.t;
-  fanouts : int array;
-  boundary_level : int -> int;
-  base_key : key;
-  info : node_info array;
-  mutable pending : pending option;
+  world : world;
+  world_hash : int;
   mutable r_hits : int;
   mutable r_misses : int;
-  mutable r_collisions : int;
 }
 
-let start ?under ?prev t ~u ~fanouts ~(model : Cost.model) ~w_max ~h_max ~soi
-    ~both_orders ~grounded ~pareto ~salt ~boundary_level =
+let start ?under ?prev t ~(model : Cost.model) ~w_max ~h_max ~soi ~both_orders
+    ~grounded ~pareto ~salt =
+  let world =
+    {
+      regular = model.Cost.regular;
+      clocked = model.Cost.clocked;
+      discharge = model.Cost.discharge;
+      depth_factor = model.Cost.depth_factor;
+      w_max;
+      h_max;
+      soi;
+      both_orders;
+      grounded;
+      pareto;
+      salt;
+    }
+  in
   {
     table = t;
     under;
     prev;
-    u;
-    fanouts;
-    boundary_level;
-    base_key =
-      {
-        k_hi = 0L;
-        k_lo = 0L;
-        k_regular = model.Cost.regular;
-        k_clocked = model.Cost.clocked;
-        k_discharge = model.Cost.discharge;
-        k_depth_factor = model.Cost.depth_factor;
-        k_w_max = w_max;
-        k_h_max = h_max;
-        k_soi = soi;
-        k_both = both_orders;
-        k_grounded = grounded;
-        k_pareto = pareto;
-        k_salt = salt;
-      };
-    info = Array.make (Unetwork.node_count u) Unmem;
-    pending = None;
+    world;
+    world_hash = world_hash world;
     r_hits = 0;
     r_misses = 0;
-    r_collisions = 0;
   }
 
-exception Unmemoizable
+let key r ~op_and c0 c1 = make_key r.world ~world_hash:r.world_hash ~op_and c0 c1
 
-(* Canonical shape of [id]'s subtree plus the two substitution maps:
-   signal -> cid for canonicalizing on store, cid -> signal for
-   reconstructing on a hit.  Ids are assigned to distinct signals in
-   first-occurrence DFS order, a node's own id before its fanins'. *)
-let build_shape r id =
-  let sig2cid : (Domino.Pdn.signal, int) Hashtbl.t = Hashtbl.create 32 in
-  let subst = ref [] in
-  let next = ref 0 in
-  let cid_of s =
-    match Hashtbl.find_opt sig2cid s with
-    | Some c -> c
-    | None ->
-        let c = !next in
-        incr next;
-        Hashtbl.add sig2cid s c;
-        subst := s :: !subst;
-        c
+let find r key =
+  (* Overlay order: the shared layer first (it serves every clean cone),
+     then this session's own entries, then the previous overlay, whose
+     hit is copied up so the next overlay can drop it.  A plain session
+     has only its own table. *)
+  let found =
+    match Option.bind r.under (fun u -> lookup u key) with
+    | Some _ as e -> e
+    | None -> (
+        match lookup r.table key with
+        | Some _ as e -> e
+        | None ->
+            Option.map (insert r.table)
+              (Option.bind r.prev (fun p -> lookup p key)))
   in
-  let rec walk fin =
-    match fin with
-    | Unetwork.F_const _ -> raise Unmemoizable
-    | Unetwork.F_lit { input; positive } ->
-        Sh_pi (cid_of (Domino.Pdn.S_pi { input; positive }))
-    | Unetwork.F_node m ->
-        if r.fanouts.(m) > 1 then
-          Sh_gate
-            { cid = cid_of (Domino.Pdn.S_gate m); level = r.boundary_level m }
-        else begin
-          let nd = Unetwork.node r.u m in
-          let cid = cid_of (Domino.Pdn.S_gate m) in
-          let s0 = walk nd.Unetwork.fanin0 in
-          let s1 = walk nd.Unetwork.fanin1 in
-          Sh_node
-            { op_and = nd.Unetwork.kind = Unetwork.U_and; cid; s0; s1 }
-        end
-  in
-  let nd = Unetwork.node r.u id in
-  let cid = cid_of (Domino.Pdn.S_gate id) in
-  let s0 = walk nd.Unetwork.fanin0 in
-  let s1 = walk nd.Unetwork.fanin1 in
-  let shape =
-    Sh_node { op_and = nd.Unetwork.kind = Unetwork.U_and; cid; s0; s1 }
-  in
-  (shape, sig2cid, Array.of_list (List.rev !subst))
+  (match found with
+  | Some _ -> r.r_hits <- r.r_hits + 1
+  | None -> r.r_misses <- r.r_misses + 1);
+  found
 
-let rec tree_of subst = function
-  | C_leaf cid -> Domino.Pdn.Leaf subst.(cid)
-  | C_ser (a, b) -> Domino.Pdn.Series (tree_of subst a, tree_of subst b)
-  | C_par (a, b) -> Domino.Pdn.Parallel (tree_of subst a, tree_of subst b)
-
-let reconstruct entry subst =
-  Array.map
-    (List.map (fun c ->
-         {
-           Soi_rules.w = c.c_w;
-           h = c.c_h;
-           value =
-             { Cost.weighted = c.c_weighted; depth = c.c_depth; raw = c.c_raw };
-           p_dis = c.c_p_dis;
-           par_b = c.c_par_b;
-           has_pi = c.c_has_pi;
-           disch = c.c_disch;
-           structure = tree_of subst c.c_structure;
-         }))
-    entry.e_table
-
-let rec ctree_of sig2cid = function
-  | Domino.Pdn.Leaf s -> C_leaf (Hashtbl.find sig2cid s)
-  | Domino.Pdn.Series (a, b) ->
-      C_ser (ctree_of sig2cid a, ctree_of sig2cid b)
-  | Domino.Pdn.Parallel (a, b) ->
-      C_par (ctree_of sig2cid a, ctree_of sig2cid b)
-
-(* Resolve node [id]'s signature and subtree weight from its fanins'
-   (already resolved — the engine sweeps in topological order). *)
-let resolve r id =
-  let fin_info fin =
-    match fin with
-    | Unetwork.F_lit _ -> Some (sig_pi, 1)
-    | Unetwork.F_const _ -> None
-    | Unetwork.F_node m ->
-        if r.fanouts.(m) > 1 then Some (sig_gate (r.boundary_level m), 1)
-        else (
-          match r.info.(m) with
-          | Unmem -> None
-          | Mem { s; weight } -> Some (s, weight))
-  in
-  let nd = Unetwork.node r.u id in
-  match (fin_info nd.Unetwork.fanin0, fin_info nd.Unetwork.fanin1) with
-  | Some (s0, w0), Some (s1, w1) when 1 + w0 + w1 <= max_shape ->
-      let s = sig_node (nd.Unetwork.kind = Unetwork.U_and) s0 s1 in
-      let i = Mem { s; weight = 1 + w0 + w1 } in
-      r.info.(id) <- i;
-      i
-  | _ ->
-      r.info.(id) <- Unmem;
-      Unmem
-
-let find r id =
-  r.pending <- None;
-  match resolve r id with
-  | Unmem -> None
-  | Mem { s; _ } -> (
-      match build_shape r id with
-      | exception Unmemoizable ->
-          r.info.(id) <- Unmem;
-          None
-      | shape, sig2cid, subst -> (
-          let key = { r.base_key with k_hi = s.hi; k_lo = s.lo } in
-          let rec scan = function
-            | [] -> None
-            | e :: rest ->
-                if e.e_shape = shape then Some e
-                else begin
-                  r.r_collisions <- r.r_collisions + 1;
-                  scan rest
-                end
-          in
-          let lookup tbl = scan (bucket_of tbl key) in
-          (* Overlay order: the shared layer first (it serves every clean
-             cone), then this session's own entries, then the previous
-             overlay, whose hit is copied up so the next overlay can drop
-             it.  A plain session has only its own table. *)
-          let found =
-            match Option.bind r.under lookup with
-            | Some _ as e -> e
-            | None -> (
-                match lookup r.table with
-                | Some _ as e -> e
-                | None ->
-                    Option.map
-                      (fun e ->
-                        ignore (insert r.table key e);
-                        e)
-                      (Option.bind r.prev lookup))
-          in
-          match found with
-          | Some e ->
-              r.r_hits <- r.r_hits + 1;
-              Some (reconstruct e subst)
-          | None ->
-              r.r_misses <- r.r_misses + 1;
-              r.pending <-
-                Some { p_id = id; p_key = key; p_shape = shape; p_sig2cid = sig2cid };
-              None))
-
-let store r id table =
-  match r.pending with
-  | Some p when p.p_id = id -> (
-      r.pending <- None;
-      match
-        Array.map
-          (List.map (fun (s : Soi_rules.sol) ->
-               {
-                 c_w = s.Soi_rules.w;
-                 c_h = s.Soi_rules.h;
-                 c_weighted = s.Soi_rules.value.Cost.weighted;
-                 c_depth = s.Soi_rules.value.Cost.depth;
-                 c_raw = s.Soi_rules.value.Cost.raw;
-                 c_p_dis = s.Soi_rules.p_dis;
-                 c_par_b = s.Soi_rules.par_b;
-                 c_has_pi = s.Soi_rules.has_pi;
-                 c_disch = s.Soi_rules.disch;
-                 c_structure = ctree_of p.p_sig2cid s.Soi_rules.structure;
-               }))
-          table
-      with
-      | ctable ->
-          ignore (insert r.table p.p_key { e_shape = p.p_shape; e_table = ctable })
-      | exception Not_found ->
-          (* A structure leaf outside the subtree's signal set would be an
-             engine invariant violation; abandon the store rather than
-             cache something unreconstructible. *)
-          ())
-  | _ -> ()
+let store r key table = insert r.table (make_entry key table)
+let id (e : entry) = e.id
+let table (e : entry) = e.table
+let tuples (e : entry) = e.tuples
 
 let finish r =
   ignore (Atomic.fetch_and_add r.table.hits r.r_hits);
   ignore (Atomic.fetch_and_add r.table.misses r.r_misses);
-  ignore (Atomic.fetch_and_add r.table.collisions r.r_collisions);
   Obs.Metrics.add m_hit r.r_hits;
   Obs.Metrics.add m_miss r.r_misses;
-  Obs.Metrics.add m_collision r.r_collisions;
-  (r.r_hits, r.r_misses, r.r_collisions)
+  (r.r_hits, r.r_misses)
+
+(* ---------- exact cone identity ---------- *)
+
+let classes u ~boundary_level =
+  let n = Unetwork.node_count u in
+  let fanouts = Unetwork.fanout_counts u in
+  let ids = Array.make n None in
+  let seen = Hashtbl.create (max 16 n) in
+  let code = function
+    | Unetwork.F_lit _ -> Some pi
+    | Unetwork.F_const _ -> None
+    | Unetwork.F_node m ->
+        if fanouts.(m) > 1 then Some (boundary ~level:(boundary_level m))
+        else ids.(m)
+  in
+  for v = 0 to n - 1 do
+    let nd = Unetwork.node u v in
+    match (code nd.Unetwork.fanin0, code nd.Unetwork.fanin1) with
+    | Some c0, Some c1 ->
+        let k = (nd.Unetwork.kind = Unetwork.U_and, c0, c1) in
+        ids.(v) <-
+          Some
+            (match Hashtbl.find_opt seen k with
+            | Some c -> c
+            | None ->
+                let c = Hashtbl.length seen in
+                Hashtbl.add seen k c;
+                c)
+    | _ -> ()
+  done;
+  ids
 
 (* ---------- network fingerprints for incremental remapping ---------- *)
 
 (* Deep per-node signatures over the *whole* transitive fanin, ordered
    and identity-included — a different scheme from the memo keys on
-   purpose.  Memo signatures erase leaf identity and stop at mapping
-   boundaries so structurally equal cones share entries; a fingerprint
-   answers the opposite question — "is this node's entire input cone
-   bit-for-bit the structure it was before the edit?" — so it must
-   distinguish everything the DP can see: fanin order, literal
+   purpose.  Memo keys stop at mapping boundaries and ignore which
+   signal drives a leaf, so structurally equal cones share entries; a
+   fingerprint answers the opposite question — "is this node's entire
+   input cone bit-for-bit the structure it was before the edit?" — so it
+   must distinguish everything the DP can see: fanin order, literal
    identity and phase, and whether each referenced node is a mapping
    boundary (fanout > 1) in this network.  Equal deep signatures are
    therefore a sound clean-marker: the DP solve of a clean node's cone
@@ -453,158 +288,129 @@ let finish r =
    nothing is rebuilt or flushed globally, which is the
    dirty-cone-only invalidation path [Engine.remap] rides. *)
 
-type fingerprint = { fp_sigs : signature array }
+(* Two independently mixed native-int halves per node: 126 bits, no
+   boxing.  [fmix] is the splitmix64 finalizer at OCaml's int width. *)
+type fingerprint = { fp_hi : int array; fp_lo : int array }
 
-let fp_lit input positive =
-  let v = Int64.of_int ((input * 2) + if positive then 1 else 0) in
-  {
-    hi = mix64 (Int64.add 0x27d4eb2f165667c5L v);
-    lo = mix64 (Int64.add 0x85ebca77c2b2ae63L (Int64.mul v 0xff51afd7ed558ccdL));
-  }
-
-let fp_const b =
-  let v = if b then 0x165667b19e3779f9L else 0x1f83d9abfb41bd6bL in
-  { hi = mix64 v; lo = mix64 (Int64.mul v 0xc4ceb9fe1a85ec53L) }
-
-let fp_boundary s =
-  {
-    hi = mix64 (Int64.add 0x9216d5d98979fb1bL s.hi);
-    lo = mix64 (Int64.add 0x452821e638d01377L s.lo);
-  }
+let fmix z =
+  let z = (z lxor (z lsr 30)) * 0x3f58476d1ce4e5b9 in
+  let z = (z lxor (z lsr 27)) * 0x14d049bb133111eb in
+  z lxor (z lsr 31)
 
 (* Ordered: distinct multipliers on the two fanins, so mirrored fanin
    orders never collide (the DP's series composition is asymmetric). *)
-let fp_node op_and a b =
-  let ks = if op_and then 0xbe5466cf34e90c6cL else 0xc0ac29b7c97c50ddL in
-  {
-    hi =
-      mix64
-        (Int64.add ks
-           (Int64.add
-              (Int64.mul a.hi 0x9e3779b97f4a7c15L)
-              (Int64.mul b.hi 0xc2b2ae3d27d4eb4fL)));
-    lo =
-      mix64
-        (Int64.add (mix64 ks)
-           (Int64.add
-              (Int64.mul a.lo 0xd6e8feb86659fd93L)
-              (Int64.mul b.lo 0xa0761d6478bd642fL)));
-  }
-
 let fingerprint u =
   let n = Unetwork.node_count u in
   let fanouts = Unetwork.fanout_counts u in
-  let sigs = Array.make n sig_pi in
-  let fin_sig = function
-    | Unetwork.F_const b -> fp_const b
-    | Unetwork.F_lit { input; positive } -> fp_lit input positive
+  let hi = Array.make n 0 and lo = Array.make n 0 in
+  let lit_code input positive = (input * 2) + Bool.to_int positive in
+  let fin_hi = function
+    | Unetwork.F_const b -> fmix (if b then 0x165667b19e3779f9 else 0x1f83d9abfb41bd6b)
+    | Unetwork.F_lit { input; positive } ->
+        fmix (0x27d4eb2f165667c5 + lit_code input positive)
     | Unetwork.F_node m ->
-        if fanouts.(m) > 1 then fp_boundary sigs.(m) else sigs.(m)
+        if fanouts.(m) > 1 then fmix (0x1216d5d98979fb1b + hi.(m)) else hi.(m)
+  in
+  let fin_lo = function
+    | Unetwork.F_const b -> fmix (if b then 0x2c4ceb9fe1a85ec5 else 0x3a0761d6478bd642)
+    | Unetwork.F_lit { input; positive } ->
+        fmix (0x05ebca77c2b2ae63 + (lit_code input positive * 0x3f51afd7ed558ccd))
+    | Unetwork.F_node m ->
+        if fanouts.(m) > 1 then fmix (0x052821e638d01377 + lo.(m)) else lo.(m)
   in
   for id = 0 to n - 1 do
     let nd = Unetwork.node u id in
-    sigs.(id) <-
-      fp_node
-        (nd.Unetwork.kind = Unetwork.U_and)
-        (fin_sig nd.Unetwork.fanin0)
-        (fin_sig nd.Unetwork.fanin1)
+    let op_and = nd.Unetwork.kind = Unetwork.U_and in
+    hi.(id) <-
+      fmix
+        ((if op_and then 0x3e5466cf34e90c6c else 0x00ac29b7c97c50dd)
+        + (fin_hi nd.Unetwork.fanin0 * 0x1e3779b97f4a7c15)
+        + (fin_hi nd.Unetwork.fanin1 * 0x02b2ae3d27d4eb4f));
+    lo.(id) <-
+      fmix
+        ((if op_and then 0x1646ea4a0c2d3c5b else 0x2d2a1d1d7d2d1a3b)
+        + (fin_lo nd.Unetwork.fanin0 * 0x16e8feb86659fd93)
+        + (fin_lo nd.Unetwork.fanin1 * 0x20761d6478bd642f))
   done;
-  { fp_sigs = sigs }
+  { fp_hi = hi; fp_lo = lo }
+
+module Ints = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
 
 let dirty_cones ~prev ~next =
-  let seen = Hashtbl.create (max 16 (2 * Array.length prev.fp_sigs)) in
-  Array.iter (fun s -> Hashtbl.replace seen (s.hi, s.lo) ()) prev.fp_sigs;
-  Array.map (fun s -> not (Hashtbl.mem seen (s.hi, s.lo))) next.fp_sigs
+  let seen = Ints.create (max 16 (2 * Array.length prev.fp_hi)) in
+  Array.iteri (fun i h -> Ints.add seen h prev.fp_lo.(i)) prev.fp_hi;
+  Array.mapi
+    (fun i h -> not (List.mem next.fp_lo.(i) (Ints.find_all seen h)))
+    next.fp_hi
 
 let dirty_counts ~prev ~next =
-  Array.fold_left
-    (fun (dirty, clean) b ->
-      if b then (dirty + 1, clean) else (dirty, clean + 1))
-    (0, 0)
-    (dirty_cones ~prev ~next)
+  let dirty =
+    Array.fold_left
+      (fun acc b -> if b then acc + 1 else acc)
+      0 (dirty_cones ~prev ~next)
+  in
+  (dirty, Array.length next.fp_hi - dirty)
 
 let fingerprint_hex fp id =
-  if id < 0 || id >= Array.length fp.fp_sigs then None
-  else
-    let s = fp.fp_sigs.(id) in
-    Some (Printf.sprintf "%016Lx%016Lx" s.hi s.lo)
+  if id < 0 || id >= Array.length fp.fp_hi then None
+  else Some (Printf.sprintf "%016x%016x" fp.fp_hi.(id) fp.fp_lo.(id))
 
-(* ---------- introspection ---------- *)
-
-let signature_hex r id =
-  if id < 0 || id >= Array.length r.info then None
-  else
-    match r.info.(id) with
-    | Unmem -> None
-    | Mem { s; _ } -> Some (Printf.sprintf "%016Lx%016Lx" s.hi s.lo)
-
-let shape_string r id =
-  if id < 0 || id >= Array.length r.info then None
-  else
-    match r.info.(id) with
-    | Unmem -> None
-    | Mem _ -> (
-        match build_shape r id with
-        | exception Unmemoizable -> None
-        | shape, _, _ ->
-            let buf = Buffer.create 64 in
-            let rec render = function
-              | Sh_pi cid -> Buffer.add_string buf (Printf.sprintf "p%d" cid)
-              | Sh_gate { cid; level } ->
-                  Buffer.add_string buf (Printf.sprintf "g%d@%d" cid level)
-              | Sh_node { op_and; cid; s0; s1 } ->
-                  Buffer.add_string buf
-                    (Printf.sprintf "(n%d%c " cid (if op_and then '*' else '+'));
-                  render s0;
-                  Buffer.add_char buf ' ';
-                  render s1;
-                  Buffer.add_char buf ')'
-            in
-            render shape;
-            Some (Buffer.contents buf))
+(* ---------- invariants ---------- *)
 
 let self_check t =
-  let total = ref 0 in
-  let error = ref None in
-  Array.iter
-    (fun shard ->
-      Mutex.lock shard.lock;
-      Hashtbl.iter
-        (fun key bucket ->
-          let expected = key.k_w_max * key.k_h_max in
-          let rec pairwise = function
-            | [] -> ()
-            | e :: rest ->
-                incr total;
-                if Array.length e.e_table <> expected then
-                  error :=
-                    Some
-                      (Printf.sprintf
-                         "entry has %d slots where its key demands %d"
-                         (Array.length e.e_table) expected);
-                if List.exists (fun e' -> e'.e_shape = e.e_shape) rest then
-                  error := Some "duplicate canonical shape under one key";
-                pairwise rest
-          in
-          pairwise bucket)
-        shard.tbl;
-      Mutex.unlock shard.lock)
-    t.shards;
-  match !error with Some msg -> Error msg | None -> Ok !total
+  let ids = Hashtbl.create 64 in
+  let check e =
+    let w = e.key.world in
+    if Array.length e.table <> w.w_max * w.h_max then
+      Some
+        (Printf.sprintf "entry %d has %d slots where its key demands %d" e.id
+           (Array.length e.table) (w.w_max * w.h_max))
+    else if Hashtbl.mem ids e.id then
+      Some (Printf.sprintf "entry id %d held by two keys" e.id)
+    else if e.key.c0 >= e.id || e.key.c1 >= e.id then
+      Some (Printf.sprintf "entry %d keys on an entry no older than itself" e.id)
+    else begin
+      Hashtbl.add ids e.id ();
+      None
+    end
+  in
+  let rec go n = function
+    | [] -> Ok n
+    | e :: rest -> (
+        match check e with Some msg -> Error msg | None -> go (n + 1) rest)
+  in
+  go 0 (entries t)
 
 (* ---------- persistence ---------- *)
 
 (* Layout: 8-byte magic, 4-byte version, 4-byte payload length, 16-byte
-   MD5 digest of the payload, payload (Marshal of the sorted entry
-   dump).  The digest is verified *before* unmarshalling, so a garbage
-   or truncated file can never reach Marshal (which is not safe on
-   arbitrary bytes). *)
+   MD5 digest of the payload, payload (Marshal of the entry dump).  The
+   digest is verified *before* unmarshalling, so a garbage or truncated
+   file can never reach Marshal (which is not safe on arbitrary
+   bytes). *)
 let magic = "SOIDMEMO"
 
-(* Version history: 1 = PR 5's original layout; 2 = tuples carry the
-   footedness flag ([c_has_pi]) and keys carry the caller salt
-   ([k_salt]).  Old files degrade to a cold start, never misread. *)
-let format_version = 2
+(* Version history: 1 = the original layout; 2 = tuples carry the
+   footedness flag and keys carry the caller salt; 3 = exact keys over
+   entry ids and identity-free tuples.  Old files degrade to a cold
+   start, never misread. *)
+let format_version = 3
+
+(* One saved entry: its world, operator, fanin codes and table.  Entry
+   ids in a file are dense, in age order, so a key only ever names an
+   earlier record; loading re-interns them into the process's ids. *)
+type saved = {
+  s_world : world;
+  s_op_and : bool;
+  s_c0 : int;
+  s_c1 : int;
+  s_table : Soi_rules.sol list array;
+}
 
 let degrade stage msg =
   Resilience.Outcome.Degraded
@@ -617,16 +423,29 @@ let degrade stage msg =
         };
       ] )
 
+(* Entries in age order with their ids renumbered densely, so a serial
+   run rewrites the file reproducibly.  An entry whose key names an
+   entry outside [t] (an overlay's child in the shared layer) could not
+   be resolved on load and is left out, with everything keyed on it. *)
 let dump t =
-  let all = ref [] in
-  Array.iter
-    (fun shard ->
-      Mutex.lock shard.lock;
-      Hashtbl.iter (fun key bucket -> all := (key, bucket) :: !all) shard.tbl;
-      Mutex.unlock shard.lock)
-    t.shards;
-  (* Sort by key so serial runs rewrite the file reproducibly. *)
-  List.sort (fun (a, _) (b, _) -> compare a b) !all
+  let dense = Hashtbl.create 64 in
+  let code c = if c < 0 then Some c else Hashtbl.find_opt dense c in
+  List.rev
+    (List.fold_left
+       (fun acc e ->
+         match (code e.key.c0, code e.key.c1) with
+         | Some c0, Some c1 ->
+             Hashtbl.add dense e.id (Hashtbl.length dense);
+             {
+               s_world = e.key.world;
+               s_op_and = e.key.op_and;
+               s_c0 = c0;
+               s_c1 = c1;
+               s_table = e.table;
+             }
+             :: acc
+         | _ -> acc)
+       [] (entries t))
 
 (* Concurrent-writer safety.  Two processes saving the same --cache FILE
    (the daemon's periodic flush racing a CLI run, say) must never leave a
@@ -655,7 +474,7 @@ let open_excl_temp file =
   go 0
 
 let save t file =
-  let data : (key * entry list) list = dump t in
+  let data : saved list = dump t in
   let payload = Marshal.to_string data [] in
   let digest = Digest.string payload in
   match
@@ -706,19 +525,40 @@ let read_cache_file file =
         with End_of_file -> failwith "truncated payload"
       in
       if Digest.string payload <> digest then failwith "payload digest mismatch";
-      ((Marshal.from_string payload 0 : (key * entry list) list), len))
+      ((Marshal.from_string payload 0 : saved list), len))
 
+(* A key only names earlier records (see [dump]); a file where one does
+   not was not written by [save]. *)
+let well_ordered data =
+  let rec go i = function
+    | [] -> true
+    | s :: rest -> s.s_c0 < i && s.s_c1 < i && go (i + 1) rest
+  in
+  go 0 data
+
+(* Re-intern: record [i] of the file becomes whichever entry of [t]
+   holds its key once its fanin codes are translated, a fresh one or an
+   equal-keyed entry already there. *)
 let load t file =
   if not (Sys.file_exists file) then Resilience.Outcome.Ok 0
   else
     match read_cache_file file with
+    | data, _ when not (well_ordered data) ->
+        degrade "memo.load" "an entry keys on a later record"
     | data, bytes ->
+        let ids = Array.make (List.length data) (-1) in
+        let code c = if c < 0 then c else ids.(c) in
         let added = ref 0 in
-        List.iter
-          (fun (key, bucket) ->
-            List.iter
-              (fun entry -> if insert t key entry then incr added)
-              (List.rev bucket))
+        List.iteri
+          (fun i s ->
+            let key =
+              make_key s.s_world ~world_hash:(world_hash s.s_world)
+                ~op_and:s.s_op_and (code s.s_c0) (code s.s_c1)
+            in
+            let fresh = make_entry key s.s_table in
+            let held = insert t fresh in
+            if held == fresh then incr added;
+            ids.(i) <- held.id)
           data;
         Obs.Metrics.add m_bytes bytes;
         Resilience.Outcome.Ok !added

@@ -2,16 +2,37 @@
 
     The engine re-solves structurally identical fanout-free subtrees over
     and over — across the nodes of one network, across the objectives of a
-    {!Multi.sweep} portfolio, and across the thousands of sampled
-    configurations of a fuzz campaign.  The tuple tables it builds depend
-    only on the {e shape} of the subtree below a node (operator kinds,
-    series/parallel ordering, which leaves are primary-input literals and
-    which are formed gates at a given level, and the pattern of repeated
-    leaves), on the cost-model scalars, and on the engine options — never
-    on {e which} primary input or gate drives a leaf.  A memo table
-    exploits that: it caches, per canonical subtree, the complete DP tuple
-    frontier with identity-erased leaves, and a hit reconstructs the exact
-    table by substituting the current instance's leaf signals back in.
+    {!Multi.sweep} portfolio, across the edits of an incremental remap,
+    and across the thousands of sampled configurations of a fuzz
+    campaign.  The paper's DP decides every tuple from its scalars alone
+    ([{W, H}], cost, [p_dis], [par_b]), so the tuple table a node builds
+    depends only on the shape of its fanout-free cone — operator kinds,
+    fanin order, which leaves are primary-input literals and which are
+    boundary gates at a given level — on the cost-model scalars, and on
+    the engine options; never on {e which} signal drives a leaf.  A memo
+    table exploits that: it caches each such table once, and a hit hands
+    the engine the cached table itself.
+
+    {2 Keys}
+
+    A node's key is its operator plus one code per fanin: {!pi} for a
+    primary-input literal, {!boundary} for a multi-fanout fanin (which
+    its consumers only see as a formed gate at some level), and, for a
+    single-fanout fanin, the {!id} of that fanin's own entry.  A key
+    also carries the run's world: the four cost-model weights (not the
+    model's name — equal weights mean equal tables), the engine options
+    and a caller salt.  The key is exact (equal keys mean equal tables),
+    ordered (mirrored fanins are different keys) and O(1) per node.
+    Cones that differ only in which leaves repeat, such as [(a*b)+(a*c)]
+    and [(a*b)+(d*c)], build the same table and share one entry.
+
+    {2 Identity-free tables}
+
+    Cached tuples name no signal: a tuple's {!Soi_rules.structure}
+    records which fanin and which fanin tuple each operand came from.
+    The engine resolves only the tuples it finally chooses into PDNs,
+    against the network it is mapping, so a hit installs the cached
+    table unchanged — no rebuild, no substitution.
 
     {2 Transparency guarantee}
 
@@ -23,32 +44,14 @@
     entirely — lower it (and the [mapper.combinations] /
     [mapper.tuples_pruned] metrics, and the tuple-budget charge).
     [tuples_kept], [nodes_processed] and [gates_formed] are recomputed
-    from the final tables and are identical.  The argument: every engine
-    decision ({!Soi_rules.compare_sols}, domination, the stable frontier
-    sort, {!Soi_rules.heuristic_and_order}, the tuples' [has_pi] flag)
-    reads scalars and leaf {e kinds} only, and the enumeration order over fanin
-    options is determined by the subtree shape — so equal canonical
-    shapes under equal key fingerprints yield byte-identical canonical
-    tables, and substitution is a bijection on the leaf signals.
-
-    {2 Keying}
-
-    Lookups are keyed by a 128-bit structural signature (bottom-up
-    splitmix hashing, symmetric in the two fanins so commutative
-    mirror-images share a bucket) together with the cost-model
-    fingerprint (the four weight scalars; the model's name is excluded,
-    so differently-named models with equal weights share) and the options
-    fingerprint (bounds, style, ordering, foot and frontier settings).
-    The signature is a filter, not the proof: every hit is confirmed by
-    an ordered structural comparison of canonical shapes, which also
-    distinguishes duplicate-leaf patterns ([a*a] never borrows [a*b]'s
-    table) and mirrored fanin orders.  Same-key entries with different
-    shapes coexist in a bucket and are counted as collisions.
+    from the final tables and are identical.
 
     A table is safe to share across domains (sharded, mutex-protected,
-    immutable entries).  The greedy degradation sweep
-    ({!Engine.map_greedy}) bypasses the cache entirely: it changes the
-    mapping-boundary rule, so its tables are not comparable.
+    immutable entries).  When two domains store one key at once, the
+    first publication wins and both get its id.  The greedy degradation
+    sweep ({!Engine.map_greedy}) and depth objectives bypass the cache
+    entirely: greedy changes the mapping-boundary rule, and depth
+    objectives offer run-local formed-gate alternatives.
 
     Persistent caches ([soimap --cache]) use a versioned binary format
     with a magic header and a payload digest; see docs/mapping-cache.md.
@@ -68,26 +71,24 @@ val create : ?shards:int -> unit -> t
 type stats = {
   hits : int;
   misses : int;  (** memoizable lookups that found no entry *)
-  collisions : int;
-      (** lookups that scanned a same-key entry with a different
-          canonical shape (equal 128-bit signature, unequal structure) *)
-  entries : int;  (** canonical tables currently stored *)
+  collisions : int;  (** always 0: keys are exact *)
+  entries : int;  (** tables currently stored *)
 }
 
 val stats : t -> stats
-(** Lifetime totals, accumulated at {!finish} (and {!load}/{!save} for
+(** Lifetime totals, accumulated at {!finish} (and {!load}/{!store} for
     [entries]). *)
 
 val entry_count : t -> int
-(** Number of cached canonical tables (same as [(stats t).entries]). *)
+(** Number of cached tables (same as [(stats t).entries]). *)
 
 (** {2 Per-mapping-run sessions}
 
-    The engine opens a [run] per [map] call.  A run resolves node
-    signatures incrementally in topological order, so {!find} must be
-    called for node [0, 1, ..., n-1] in order, and {!store} for a node
-    immediately after its missed {!find} (the engine's sweep does both
-    naturally). *)
+    The engine opens a [run] per [map] call, and sweeps the network in
+    topological order: for each node it builds the node's {!key} from
+    its fanins' codes, {!find}s it, and on a miss computes the table and
+    {!store}s it.  Either way the node's own code, for its consumer, is
+    the {!id} of the entry it got. *)
 
 type run
 
@@ -95,8 +96,6 @@ val start :
   ?under:t ->
   ?prev:t ->
   t ->
-  u:Unate.Unetwork.t ->
-  fanouts:int array ->
   model:Cost.model ->
   w_max:int ->
   h_max:int ->
@@ -105,17 +104,12 @@ val start :
   grounded:bool ->
   pareto:int ->
   salt:int ->
-  boundary_level:(int -> int) ->
   run
-(** [start t ~u ~fanouts ... ~boundary_level] opens a session for one
-    mapping of [u].  [fanouts] must be [Unetwork.fanout_counts u] (the
-    engine's own array); [boundary_level m] must return the formed-gate
-    level of multi-fanout node [m] — it is only called for nodes below
-    the one being looked up, whose tables are already complete.
-    [salt] (0 for plain mapping) extends the options fingerprint: sessions with
-    different salts never share entries — the rewriting front end salts
-    with its pattern-set fingerprint and variant budget so rewritten and
-    plain runs keep disjoint cache worlds.
+(** [start t ~model ...] opens a session for one mapping.  [salt] (0
+    for plain mapping) extends the world: sessions with different salts
+    never share entries — the rewriting front end salts with its
+    pattern-set fingerprint and variant budget so rewritten and plain
+    runs keep disjoint cache worlds.
 
     [under] and [prev] make [t] an {e overlay} for the session (the
     incremental remap's per-baseline working set, see {!Engine.remap}):
@@ -125,24 +119,57 @@ val start :
     that [under] lacks, so replacing [prev] with [t] bounds the overlay
     by one network's working set, and [under] never grows. *)
 
-val find : run -> int -> Soi_rules.sol list array option
-(** [find r id] resolves node [id]'s structural signature and looks its
-    subtree up.  [Some table] is the reconstructed slot array (length
-    [w_max * h_max], same layout as the engine's) — use it verbatim and
-    skip the combination loop.  [None] means a miss, or that the node is
-    not memoizable (oversized subtree); compute as usual and call
-    {!store}. *)
+val pi : int
+(** The fanin code of a primary-input literal. *)
 
-val store : run -> int -> Soi_rules.sol list array -> unit
-(** [store r id table] canonicalizes and inserts the completed slot
-    array for node [id].  A no-op for unmemoizable nodes, and when
-    another task raced the same canonical entry in. *)
+val boundary : level:int -> int
+(** The fanin code of a multi-fanout fanin whose formed gate sits at
+    [level]. *)
 
-val finish : run -> int * int * int
+type key
+
+val key : run -> op_and:bool -> int -> int -> key
+(** [key r ~op_and c0 c1] is the key of an AND ([op_and]) or OR node
+    whose fanins have codes [c0] and [c1]. *)
+
+type entry
+
+val id : entry -> int
+(** The entry's id: the code its node offers its consumer.  Unique
+    among all entries of the process. *)
+
+val table : entry -> Soi_rules.sol list array
+(** The cached slot array (the engine's layout).  Never mutate it. *)
+
+val tuples : entry -> int
+(** The number of tuples in {!table}. *)
+
+val find : run -> key -> entry option
+(** [find r k] is the entry for [k], if any layer holds one. *)
+
+val store : run -> key -> Soi_rules.sol list array -> entry
+(** [store r k table] publishes the completed slot array for [k] and
+    returns the entry that holds [k]: the new one, or the one another
+    domain stored first.  The caller must not mutate [table]
+    afterwards. *)
+
+val finish : run -> int * int
 (** [finish r] folds the session's counts into the table and the
     [cache.*] metrics (when collection is enabled) and returns
-    [(hits, misses, collisions)] for the caller's trace span.  Call at
-    most once, after the sweep. *)
+    [(hits, misses)] for the caller's trace span.  Call at most once,
+    after the sweep. *)
+
+(** {2 Exact cone identity} *)
+
+val classes :
+  Unate.Unetwork.t -> boundary_level:(int -> int) -> int option array
+(** Per node, a class under the memo's key scheme, without any table:
+    two nodes share a class exactly when their keys would (same operator,
+    same fanin codes, where a single-fanout fanin's code is its class).
+    Equal classes mean equal DP tables and equal exact optima, which is
+    what {!Opt.Certify} dedups cones by.  [boundary_level m] must return
+    the formed-gate level of multi-fanout node [m].  [None] for a node
+    with a constant fanin. *)
 
 (** {2 Network fingerprints (incremental remapping)}
 
@@ -172,8 +199,7 @@ val dirty_cones : prev:fingerprint -> next:fingerprint -> bool array
     when the cone — including every mapping-boundary level below it —
     is structurally unchanged.  Conservative in the sound direction:
     a clean verdict guarantees warm-table hits; a dirty verdict merely
-    recomputes (and may still hit through the memo's identity-erased
-    sharing). *)
+    recomputes (and may still hit, since keys ignore leaf identity). *)
 
 val dirty_counts : prev:fingerprint -> next:fingerprint -> int * int
 (** [(dirty, clean)] totals of {!dirty_cones}. *)
@@ -181,22 +207,13 @@ val dirty_counts : prev:fingerprint -> next:fingerprint -> int * int
 val fingerprint_hex : fingerprint -> int -> string option
 (** The deep signature of node [id] as 32 hex digits (tests). *)
 
-(** {2 Introspection (tests, debugging)} *)
-
-val signature_hex : run -> int -> string option
-(** The 128-bit subtree signature of node [id] as 32 hex digits, once
-    {!find} has resolved it; [None] for unmemoizable nodes. *)
-
-val shape_string : run -> int -> string option
-(** A deterministic rendering of node [id]'s canonical shape (the value
-    compared on the collision-check path), once {!find} has resolved
-    it. *)
+(** {2 Invariants} *)
 
 val self_check : t -> (int, string) result
-(** Scans every bucket and verifies the structural invariants: same-key
-    entries have pairwise distinct canonical shapes, and every cached
-    table has the slot-array length its key demands.  [Ok n] reports the
-    number of entries checked. *)
+(** Scans every entry and verifies the structural invariants: every
+    cached table has the slot-array length its key demands, no two keys
+    share an id, and a key only names entries older than its own.
+    [Ok n] reports the number of entries checked. *)
 
 (** {2 Persistence} *)
 
@@ -212,9 +229,12 @@ val save : t -> string -> int Resilience.Outcome.t
 
 val load : t -> string -> int Resilience.Outcome.t
 (** [load t file] merges a saved cache into [t] and returns the number
-    of entries added.  A missing file is a normal cold start ([Ok 0]).
-    A corrupt, truncated or wrong-version file leaves [t] untouched and
-    returns [Degraded (0, [d])] where [d.reason] is
-    [Budget.Cache_invalid _] and [d.fallback] is ["cold-start"] — never
-    an exception, and unmarshalling is attempted only after the payload
-    digest has been verified. *)
+    of entries added.  Saved entry ids are re-interned: each record's
+    key is rebuilt over the ids its fanin records received here, so a
+    file loads into a table that already holds other entries.  A
+    missing file is a normal cold start ([Ok 0]).  A corrupt, truncated
+    or wrong-version file leaves [t] untouched and returns
+    [Degraded (0, [d])] where [d.reason] is [Budget.Cache_invalid _] and
+    [d.fallback] is ["cold-start"] — never an exception, and
+    unmarshalling is attempted only after the payload digest has been
+    verified. *)

@@ -6,10 +6,17 @@ type sol = {
   par_b : bool;
   has_pi : bool;
   disch : int;
-  structure : Domino.Pdn.t;
+  structure : structure;
 }
 
-let leaf_pi model ~input ~positive =
+and structure =
+  | Leaf
+  | Formed of int
+  | Parallel of sol * sol
+  | Series of sol * sol
+  | Series_flipped of sol * sol
+
+let leaf_pi model =
   {
     w = 1;
     h = 1;
@@ -18,10 +25,10 @@ let leaf_pi model ~input ~positive =
     par_b = false;
     has_pi = true;
     disch = 0;
-    structure = Domino.Pdn.Leaf (Domino.Pdn.S_pi { input; positive });
+    structure = Leaf;
   }
 
-let leaf_gate model ~node ~level ~carried ~carried_disch =
+let leaf_gate model ~level ~carried ~carried_disch =
   let interface = Cost.regular_transistors model 1 in
   let value = Cost.combine carried interface in
   {
@@ -32,7 +39,7 @@ let leaf_gate model ~node ~level ~carried ~carried_disch =
     par_b = false;
     has_pi = false;
     disch = carried_disch;
-    structure = Domino.Pdn.Leaf (Domino.Pdn.S_gate node);
+    structure = Leaf;
   }
 
 type op = Or | And_soi | And_bulk
@@ -75,7 +82,7 @@ let par_b op _a b =
 
 let has_pi a b = a.has_pi || b.has_pi
 
-let combine model op a b =
+let combine ?(flipped = false) model op a b =
   let committed = committed op a in
   {
     w = width op a b;
@@ -92,8 +99,9 @@ let combine model op a b =
     disch = a.disch + b.disch + committed;
     structure =
       (match op with
-      | Or -> Domino.Pdn.Parallel (a.structure, b.structure)
-      | And_soi | And_bulk -> Domino.Pdn.Series (a.structure, b.structure));
+      | Or -> Parallel (a, b)
+      | And_soi | And_bulk ->
+          if flipped then Series_flipped (a, b) else Series (a, b));
   }
 
 let combine_or model s1 s2 = combine model Or s1 s2
@@ -115,9 +123,11 @@ let compare_sols model a b =
       | c -> c)
   | c -> c
 
-let heuristic_and_order s1 s2 =
+let heuristic_swaps s1 s2 =
   match (s1.par_b, s2.par_b) with
-  | true, false -> (s2, s1)
-  | false, true -> (s1, s2)
-  | true, true -> if s1.p_dis >= s2.p_dis then (s2, s1) else (s1, s2)
-  | false, false -> (s1, s2)
+  | true, false -> true
+  | false, true | false, false -> false
+  | true, true -> s1.p_dis >= s2.p_dis
+
+let heuristic_and_order s1 s2 =
+  if heuristic_swaps s1 s2 then (s2, s1) else (s1, s2)

@@ -22,19 +22,42 @@ type sol = {
           incrementally (OR of the sub-structures) because both frontier
           dominance and gate formation read it on the hot path. *)
   disch : int;  (** committed (actual) discharge transistors so far *)
-  structure : Domino.Pdn.t;
-      (** series/parallel tree; [S_gate] refs are unate ids *)
+  structure : structure;
+      (** how the tuple was built, without naming a signal *)
 }
 
-val leaf_pi : Cost.model -> input:int -> positive:bool -> sol
+(** A tuple's derivation.  It names no signal: a leaf is "whatever
+    fanin offered this tuple", and a composition at a node records
+    which of the node's two fanins each operand came from.  The tuples
+    a node's table holds are therefore a function of the shape of its
+    fanout-free cone alone, so networks whose cones agree can share one
+    table physically; {!Engine} resolves the derivation of a chosen
+    tuple into a {!Domino.Pdn.t} against the network being mapped. *)
+and structure =
+  | Leaf
+      (** one transistor driven by the fanin that offered the tuple: a
+          primary-input literal, a boundary gate, or the formed gate of
+          a single-fanout fanin *)
+  | Formed of int
+      (** one transistor driven by a formed-gate alternative the engine
+          registered under this run-local id (depth objectives only) *)
+  | Parallel of sol * sol
+      (** the node's fanin-0 operand beside its fanin-1 operand *)
+  | Series of sol * sol
+      (** [Series (top, bottom)]: the top operand came from fanin 0 *)
+  | Series_flipped of sol * sol
+      (** [Series_flipped (top, bottom)]: the top operand came from
+          fanin 1 *)
+
+val leaf_pi : Cost.model -> sol
 (** A single transistor driven by a primary-input literal. *)
 
 val leaf_gate :
-  Cost.model -> node:int -> level:int -> carried:Cost.value -> carried_disch:int -> sol
-(** A single transistor driven by the output of the domino gate formed for
-    unate node [node].  [carried] is the gate's formation cost when the
-    driver has a single fanout (cumulative costing, as in the paper's
-    example where a used gate contributes its full cost plus the interface
+  Cost.model -> level:int -> carried:Cost.value -> carried_disch:int -> sol
+(** A single transistor driven by the output of a formed domino gate at
+    [level].  [carried] is the gate's formation cost when the driver
+    has a single fanout (cumulative costing, as in the paper's example
+    where a used gate contributes its full cost plus the interface
     transistor); it is {!Cost.zero}-with-[depth]=[level] for shared
     drivers, whose formation cost is accounted once globally. *)
 
@@ -45,9 +68,12 @@ type op =
 (** A combination rule.  For the two series rules the first operand is
     the top of the stack. *)
 
-val combine : Cost.model -> op -> sol -> sol -> sol
+val combine : ?flipped:bool -> Cost.model -> op -> sol -> sol -> sol
 (** [combine model op a b] composes two tuples under [op]; it is
-    {!combine_or}, {!combine_and_soi} or {!combine_and_bulk}. *)
+    {!combine_or}, {!combine_and_soi} or {!combine_and_bulk}.  The
+    derivation records [a] as the fanin-0 operand unless [flipped]
+    (default false), which a series composition sets when its top
+    operand came from the node's fanin 1. *)
 
 (** {2 Fields of a combination, without building it}
 
@@ -87,6 +113,10 @@ val compare_sols : Cost.model -> sol -> sol -> int
 (** The DP frontier's order: cost key, then [p_dis] (the paper's
     tie-break), then raw transistors, then footless ([has_pi = false])
     last. *)
+
+val heuristic_swaps : sol -> sol -> bool
+(** [heuristic_swaps s1 s2] tells whether the paper's ordering rule puts
+    [s2] on top of [s1] (see {!heuristic_and_order}). *)
 
 val heuristic_and_order : sol -> sol -> sol * sol
 (** [heuristic_and_order s1 s2] is [(top, bottom)] per the paper's

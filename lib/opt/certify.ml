@@ -92,32 +92,12 @@ let certify ?(backend = Bb.backend) ?(max_size = default_max_size)
           (Printf.sprintf "Opt.Certify: boundary n%d formed no gate" m)
   in
   let instances = Instance.extract u ~boundary_level:level_of in
-  (* Canonical-shape dedup: two cones with the same Memo shape (same
-     ordered structure, leaf kinds, boundary levels, duplicate-leaf
-     pattern) have identical DP tables and identical exact optima, so
-     the second is a lookup, not a search.  The scratch table is local:
-     only the session's shape resolution is wanted, not cached tuples. *)
-  let shapes =
-    let tbl = Memo.create ~shards:1 () in
-    let fanouts = Unate.Unetwork.fanout_counts u in
-    let r =
-      Memo.start tbl ~u ~fanouts ~model ~w_max:options.Engine.w_max
-        ~h_max:options.Engine.h_max
-        ~soi:(options.Engine.style = Engine.Soi)
-        ~both_orders:options.Engine.both_orders
-        ~grounded:options.Engine.grounded_at_foot
-        ~pareto:options.Engine.pareto_width ~salt:0 ~boundary_level:level_of
-    in
-    let n = Unate.Unetwork.node_count u in
-    let shape = Array.make (max n 1) None in
-    for id = 0 to n - 1 do
-      ignore (Memo.find r id);
-      shape.(id) <- Memo.shape_string r id
-    done;
-    ignore (Memo.finish r);
-    fun id -> if id < Array.length shape then shape.(id) else None
-  in
-  let solved : (string, status) Hashtbl.t = Hashtbl.create 64 in
+  (* Cone dedup: two cones of one memo class (same operators, fanin
+     order, leaf kinds and boundary levels, whatever signals drive the
+     leaves) have identical DP tables and identical exact optima, so the
+     second is a lookup, not a search. *)
+  let classes = Memo.classes u ~boundary_level:level_of in
+  let solved : (int, status) Hashtbl.t = Hashtbl.create 64 in
   let certs =
     List.map
       (fun (inst : Instance.t) ->
@@ -140,10 +120,10 @@ let certify ?(backend = Bb.backend) ?(max_size = default_max_size)
               in
               (status_of_solution ~dp s, s.Backend.expansions)
             in
-            match shapes root with
+            match classes.(root) with
             | None -> solve ()
-            | Some shape -> (
-                match Hashtbl.find_opt solved shape with
+            | Some cls -> (
+                match Hashtbl.find_opt solved cls with
                 | Some status ->
                     Obs.Metrics.incr m_shape_hits;
                     (* A lookup, not a search: charging the original
@@ -152,7 +132,7 @@ let certify ?(backend = Bb.backend) ?(max_size = default_max_size)
                     (status, 0)
                 | None ->
                     let ((status, _) as r) = solve () in
-                    Hashtbl.replace solved shape status;
+                    Hashtbl.replace solved cls status;
                     r)
           end
         in

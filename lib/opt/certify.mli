@@ -17,9 +17,9 @@
 
     Certification is budgeted in expansions, not wall-clock, so the
     verdicts are bit-identical across machines and worker counts.
-    Structurally identical cones (canonical {!Mapper.Memo} shapes,
-    which erase leaf identity but keep boundary levels, fanin order and
-    duplicate-leaf patterns) are solved once and share their verdict. *)
+    Structurally identical cones (one {!Mapper.Memo.classes} class:
+    same operators, fanin order and boundary levels, whatever signals
+    drive the leaves) are solved once and share their verdict. *)
 
 type status =
   | Proved of { cost : int }

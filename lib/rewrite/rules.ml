@@ -46,8 +46,10 @@ let all =
     };
   ]
 
+(* Compiled once, at module initialisation: a shared [lazy] forced by
+   two domains at once raises [CamlinternalLazy.Undefined] in one. *)
 let compiled =
-  let c = lazy (compile all) in
-  fun () -> Lazy.force c
+  let c = compile all in
+  fun () -> c
 
 let fingerprint = Pattern.fingerprint all

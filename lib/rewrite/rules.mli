@@ -20,7 +20,7 @@ val all : Pattern.rule list
 (** The default rule set, in deterministic match-priority order. *)
 
 val compiled : unit -> Pattern.compiled
-(** [all] compiled once and shared (lazy). *)
+(** [all] compiled once, at module initialisation, and shared. *)
 
 val fingerprint : int
 (** {!Pattern.fingerprint} of {!all}; the rewrite contribution to the

@@ -367,6 +367,7 @@ let conn_release conn =
 exception Payload_error of string
 
 let network_of_payload (p : Protocol.map_params) =
+  Obs.Trace.with_span ~cat:"mapper" "mapper.load" @@ fun () ->
   match p.format with
   | Protocol.Blif -> (
       try Blif.parse_string p.payload
@@ -501,7 +502,6 @@ let run_job t job =
                 Mapper.Engine.remap ~budget (baseline_state t p ~budget base)
                   u1)
           in
-          let circuit = Mapper.Algorithms.postprocess p.Protocol.flow circuit in
           remap_info :=
             Some
               {
@@ -510,14 +510,7 @@ let run_job t job =
                 rs_clean = info.Mapper.Engine.clean_cones;
               };
           Resilience.Outcome.Ok
-            {
-              Mapper.Algorithms.circuit;
-              counts = Domino.Circuit.counts circuit;
-              unate = u1;
-              mapped = u1;
-              stats;
-              rewrite = None;
-            }
+            (Mapper.Algorithms.finish p.Protocol.flow u1 circuit stats)
     with
     | Resilience.Outcome.Ok r ->
         ( Ok_,

@@ -123,41 +123,101 @@ let test_self_check_after_sweep () =
       Alcotest.(check bool) "entries cached" true (n > 0)
   | Error e -> Alcotest.failf "self-check failed: %s" e
 
-(* Structurally identical sibling subtrees resolve to the same signature
-   *and* the same canonical shape; the distinct parent does not. *)
+(* The exact identity: the two AND siblings of (a*b)+(c*d) have one
+   key, so the first stores an entry the second hits; the OR parent
+   keys on that entry and has its own. *)
 let test_introspection () =
   let u = Algorithms.prepare (build_pair_net [| "a"; "b"; "c"; "d" |]) in
   let n = Unate.Unetwork.node_count u in
   Alcotest.(check int) "fig3 decomposes to three nodes" 3 n;
-  let memo = Memo.create () in
-  let r =
-    Memo.start memo ~u
-      ~fanouts:(Unate.Unetwork.fanout_counts u)
-      ~model:Cost.area ~w_max:4 ~h_max:4 ~soi:true ~both_orders:true
-      ~grounded:true ~pareto:1 ~salt:0
-      ~boundary_level:(fun _ -> 1)
-  in
-  for id = 0 to n - 1 do
-    ignore (Memo.find r id)
-  done;
-  let sigs =
+  let classes = Memo.classes u ~boundary_level:(fun _ -> 1) in
+  let resolved =
     List.init n (fun id ->
-        match (Memo.signature_hex r id, Memo.shape_string r id) with
-        | Some s, Some sh ->
-            Alcotest.(check int) "32 hex digits" 32 (String.length s);
-            (s, sh)
-        | _ -> Alcotest.failf "node %d not resolved" id)
+        match classes.(id) with
+        | Some c -> (id, c)
+        | None -> Alcotest.failf "node %d not resolved" id)
   in
   let equal_pairs =
     List.concat_map
       (fun (i, a) ->
         List.filter_map
           (fun (j, b) -> if i < j && a = b then Some (i, j) else None)
-          (List.mapi (fun j s -> (j, s)) sigs))
-      (List.mapi (fun i s -> (i, s)) sigs)
+          resolved)
+      resolved
   in
-  (* exactly the two AND siblings coincide, in signature and in shape *)
-  Alcotest.(check int) "one coincident pair" 1 (List.length equal_pairs)
+  Alcotest.(check int) "one coincident pair" 1 (List.length equal_pairs);
+  let memo = Memo.create () in
+  ignore (Engine.map ~memo Engine.default_options u);
+  let s = Memo.stats memo in
+  Alcotest.(check int) "AND siblings share one entry, the OR has its own" 2
+    s.Memo.entries;
+  Alcotest.(check (pair int int)) "(hits, misses)" (1, 2) (s.Memo.hits, s.Memo.misses)
+
+(* Which leaves repeat does not change a table: (a*b)+(a*c) and
+   (a*b)+(d*c) share every entry, and each still maps to its own
+   memo-free circuit. *)
+let test_duplicate_leaves_share () =
+  let net second =
+    let b = Logic.Builder.create ~name:"dup" () in
+    let w = Array.map (Logic.Builder.input b) [| "a"; "b"; "c"; "d" |] in
+    Logic.Builder.output b "f"
+      (Logic.Builder.or2 b
+         (Logic.Builder.and2 b w.(0) w.(1))
+         (Logic.Builder.and2 b w.(second) w.(2)));
+    Algorithms.prepare (Logic.Builder.network b)
+  in
+  let memo = Memo.create () in
+  let check u =
+    let plain, _ = Engine.map Engine.default_options u in
+    let cached, _ = Engine.map ~memo Engine.default_options u in
+    Alcotest.(check bool) "memo-off = memo-on" true (plain = cached)
+  in
+  check (net 0);
+  let s1 = Memo.stats memo in
+  check (net 3);
+  let s2 = Memo.stats memo in
+  Alcotest.(check int) "the second network misses nothing" 0
+    (s2.Memo.misses - s1.Memo.misses)
+
+(* Two domains map des through one fresh table at once: both answers
+   are the memo-free map, and the table's invariants hold (one id per
+   key, keys only name older entries). *)
+let test_concurrent_maps () =
+  let u = Algorithms.prepare (Gen.Suite.build_exn "des") in
+  let plain, _ = Engine.map Engine.default_options u in
+  let memo = Memo.create () in
+  let map () = fst (Engine.map ~memo Engine.default_options u) in
+  let d1 = Domain.spawn map and d2 = Domain.spawn map in
+  let c1 = Domain.join d1 and c2 = Domain.join d2 in
+  Alcotest.(check bool) "first domain = memo-free" true (c1 = plain);
+  Alcotest.(check bool) "second domain = memo-free" true (c2 = plain);
+  match Memo.self_check memo with
+  | Ok n -> Alcotest.(check int) "checked = entries" (Memo.entry_count memo) n
+  | Error e -> Alcotest.failf "self-check failed: %s" e
+
+(* A single-fanout chain far longer than any per-cone cap: every node is
+   memoized, so a warm run misses nothing and rebuilds the circuit. *)
+let test_long_chain () =
+  let b = Logic.Builder.create ~name:"chain" () in
+  let x = Array.init 8 (fun i -> Logic.Builder.input b (Printf.sprintf "x%d" i)) in
+  let t = ref (Logic.Builder.and2 b x.(0) x.(1)) in
+  for i = 2 to 700 do
+    let op = if i mod 2 = 0 then Logic.Builder.or2 else Logic.Builder.and2 in
+    t := op b !t x.(i mod 8)
+  done;
+  Logic.Builder.output b "f" !t;
+  let u = Algorithms.prepare (Logic.Builder.network b) in
+  Alcotest.(check bool) "chain longer than 512 nodes" true
+    (Unate.Unetwork.node_count u > 512);
+  let memo = Memo.create () in
+  let cold, _ = Engine.map ~memo Engine.default_options u in
+  let s1 = Memo.stats memo in
+  let warm, _ = Engine.map ~memo Engine.default_options u in
+  let s2 = Memo.stats memo in
+  Alcotest.(check bool) "warm = cold" true (cold = warm);
+  Alcotest.(check int) "warm run misses nothing" 0 (s2.Memo.misses - s1.Memo.misses);
+  Alcotest.(check int) "every node hits" (Unate.Unetwork.node_count u)
+    (s2.Memo.hits - s1.Memo.hits)
 
 (* ------------------------------------------------------------------ *)
 (* Persistence.                                                        *)
@@ -193,6 +253,36 @@ let test_persistent_roundtrip () =
       match Memo.load m2 file with
       | Resilience.Outcome.Ok 0 -> ()
       | o -> Alcotest.failf "reload not idempotent: %s" (Resilience.Outcome.describe o))
+
+(* Loading re-interns entry ids: a file saved from one network merges
+   into a table that already holds another network's entries, and the
+   first network then maps warm from it. *)
+let test_load_reinterns () =
+  let u = Algorithms.prepare (Gen.Suite.build_exn "cordic") in
+  let m1 = Memo.create () in
+  let cold, _ = Engine.map ~memo:m1 Engine.default_options u in
+  let file = temp_path ".cache" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+    (fun () ->
+      (match Memo.save m1 file with
+      | Resilience.Outcome.Ok _ -> ()
+      | o -> Alcotest.failf "save: %s" (Resilience.Outcome.label o));
+      let m2 = Memo.create () in
+      ignore
+        (Engine.map ~memo:m2 Engine.default_options
+           (Algorithms.prepare (Gen.Suite.build_exn "z4ml")));
+      (match Memo.load m2 file with
+      | Resilience.Outcome.Ok n -> Alcotest.(check bool) "entries added" true (n > 0)
+      | o -> Alcotest.failf "load: %s" (Resilience.Outcome.label o));
+      let s1 = Memo.stats m2 in
+      let warm, _ = Engine.map ~memo:m2 Engine.default_options u in
+      let s2 = Memo.stats m2 in
+      Alcotest.(check bool) "warm-from-disk equals cold" true (cold = warm);
+      Alcotest.(check int) "no misses" 0 (s2.Memo.misses - s1.Memo.misses);
+      match Memo.self_check m2 with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "self-check failed: %s" e)
 
 (* Concurrent writers on one --cache FILE (daemon flush racing a CLI
    save) must never leave a torn file: two domains hammer [save] with
@@ -415,6 +505,10 @@ let suite =
     Alcotest.test_case "identity-erasure" `Quick test_identity_erasure;
     Alcotest.test_case "self-check-after-sweep" `Quick test_self_check_after_sweep;
     Alcotest.test_case "introspection" `Quick test_introspection;
+    Alcotest.test_case "duplicate-leaves-share" `Quick test_duplicate_leaves_share;
+    Alcotest.test_case "concurrent-maps" `Quick test_concurrent_maps;
+    Alcotest.test_case "long-chain" `Quick test_long_chain;
+    Alcotest.test_case "load-reinterns" `Quick test_load_reinterns;
     Alcotest.test_case "persistent-roundtrip" `Quick test_persistent_roundtrip;
     Alcotest.test_case "concurrent-savers" `Quick test_concurrent_savers;
     Alcotest.test_case "corrupt-caches" `Quick test_corrupt_caches;

@@ -77,9 +77,9 @@ let test_tuple_mirror () =
                 model.Cost.name seed;
             (s, t)
           in
-          let leaf i =
+          let leaf _ =
             check "leaf"
-              (Soi_rules.leaf_pi model ~input:i ~positive:true)
+              (Soi_rules.leaf_pi model)
               (Opt.Backend.t_leaf_pi model)
           in
           let rec build k =
@@ -128,7 +128,7 @@ let test_leaf_gate_mirror () =
           (* Shared-driver case: carried = zero at the gate's level, as
              the engine passes it for multi-fanout boundaries. *)
           let s =
-            Soi_rules.leaf_gate model ~node:3 ~level
+            Soi_rules.leaf_gate model ~level
               ~carried:{ Cost.zero with Cost.depth = level }
               ~carried_disch:0
           in

@@ -22,9 +22,9 @@ let test_fingerprint_self () =
   Alcotest.(check int) "no dirty cones against self" 0 dirty;
   Alcotest.(check int) "all cones clean" (Unate.Unetwork.node_count u) clean
 
-(* The memo's own signatures erase leaf identity (a & b and p & q share
-   a cached table); fingerprints must NOT — a rewired literal dirties
-   the cone even though its memo shape is unchanged. *)
+(* The memo's keys ignore leaf identity (a & b and p & q share a cached
+   table); fingerprints must NOT — a rewired literal dirties the cone
+   even though its memo key is unchanged. *)
 let build_and2 i j =
   let b = Logic.Builder.create ~name:"pair" () in
   let w = Array.init 3 (fun k -> Logic.Builder.input b (Printf.sprintf "x%d" k)) in

@@ -1,7 +1,8 @@
 open Mapper
 
 let m = Cost.area
-let leaf i = Soi_rules.leaf_pi m ~input:i ~positive:true
+(* A tuple names no signal; the index only labels the figure's inputs. *)
+let leaf _input = Soi_rules.leaf_pi m
 
 let test_leaf_pi () =
   let s = leaf 0 in
@@ -99,10 +100,20 @@ let test_compare_sols_tie_break () =
   Alcotest.(check bool) "footless sorts last on full ties" true
     (Soi_rules.compare_sols m (leaf 0) footless < 0)
 
+(* A derivation's series/parallel shape as a PDN.  The analysis reads
+   the shape only, so every leaf gets the same literal. *)
+let rec shape (s : Soi_rules.sol) =
+  match s.Soi_rules.structure with
+  | Soi_rules.Leaf | Soi_rules.Formed _ ->
+      Domino.Pdn.Leaf (Domino.Pdn.S_pi { input = 0; positive = true })
+  | Soi_rules.Parallel (a, b) -> Domino.Pdn.Parallel (shape a, shape b)
+  | Soi_rules.Series (t, b) | Soi_rules.Series_flipped (t, b) ->
+      Domino.Pdn.Series (shape t, shape b)
+
 let test_structure_consistency_with_analysis () =
   (* The incremental bookkeeping must agree with the standalone analysis. *)
   let check s =
-    let r = Domino.Pbe_analysis.analyze s.Soi_rules.structure in
+    let r = Domino.Pbe_analysis.analyze (shape s) in
     Alcotest.(check int) "p_dis matches analysis"
       (List.length r.Domino.Pbe_analysis.contingent)
       s.Soi_rules.p_dis;
