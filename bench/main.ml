@@ -58,10 +58,24 @@ let table_benches =
            ignore (Mapper.Algorithms.soi_domino_map ~cost:Mapper.Cost.depth_soi c880)));
   ]
 
+(* The daemon_remap payload shape: the seed-42 edit of prepared des,
+   as the unate BLIF a remap request carries. *)
+let des_edit_blif des_unate =
+  Blif.to_string
+    (Unate.Unetwork.to_network (Check.Edit.apply ~seed:42 des_unate))
+
 let stage_benches =
+  let des_edit =
+    des_edit_blif (Mapper.Algorithms.prepare (Gen.Suite.build_exn "des"))
+  in
+  let des_edit_net = Blif.parse_string des_edit in
   [
     Test.make ~name:"stage/generate(c880)"
       (stage (fun () -> ignore (Gen.Suite.build_exn "c880")));
+    Test.make ~name:"stage/blif_parse(des edit)"
+      (stage (fun () -> ignore (Blif.parse_string des_edit)));
+    Test.make ~name:"stage/prepare(des edit)"
+      (stage (fun () -> ignore (Mapper.Algorithms.prepare des_edit_net)));
     Test.make ~name:"stage/strash(c880)" (stage (fun () -> ignore (Logic.Strash.run c880)));
     Test.make ~name:"stage/decompose+unate(c880)"
       (stage (fun () -> ignore (Mapper.Algorithms.prepare c880)));
@@ -263,7 +277,10 @@ let remap_benches =
    the whole-network fast path, which allocates nothing per cone.  The
    edit pair is the edit loop itself: remapping each fresh edit of
    [des_edits] against the des baseline, against a memo-free map of the
-   same edits. *)
+   same edits.  The front end's pair is every word (minor and major)
+   that parsing the seed-42 des edit allocates per byte of its BLIF,
+   and that preparing it allocates per parsed node; the registry holds
+   integers, so these two are rounded up. *)
 let publish_alloc_evidence () =
   let opts = Mapper.Engine.default_options in
   let des_unate = Mapper.Algorithms.prepare (Gen.Suite.build_exn "des") in
@@ -295,6 +312,25 @@ let publish_alloc_evidence () =
   let c name v =
     Obs.Metrics.add (Obs.Metrics.counter name) (int_of_float v)
   in
+  let text = des_edit_blif des_unate in
+  let net = Blif.parse_string text in
+  let allocated f =
+    Gc.full_major ();
+    let minor0, promoted0, major0 = Gc.counters () in
+    f ();
+    let minor1, promoted1, major1 = Gc.counters () in
+    minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+  in
+  let parse_per_byte =
+    allocated (fun () -> ignore (Blif.parse_string text))
+    /. float_of_int (String.length text)
+  in
+  let prepare_per_node =
+    allocated (fun () -> ignore (Mapper.Algorithms.prepare net))
+    /. float_of_int (Logic.Network.node_count net)
+  in
+  c "bench.blif_parse_words_per_byte(des)" (Float.ceil parse_per_byte);
+  c "bench.prepare_words_per_node(des)" (Float.ceil prepare_per_node);
   c "bench.minor_words_per_cone_cold(des)" cold_des;
   c "bench.minor_words_per_cone_warm_remap(des)" warm_des;
   c "bench.minor_words_per_cone_edit_remap(des)" edit_remap;
@@ -305,7 +341,11 @@ let publish_alloc_evidence () =
     cold_des warm_des
     (cold_des /. Float.max warm_des 0.01)
     edit_remap edit_free
-    (edit_remap /. Float.max edit_free 0.01)
+    (edit_remap /. Float.max edit_free 0.01);
+  Printf.printf
+    "alloc: front end on the des edit — parse %.2f words/byte, prepare \
+     %.1f words/parsed node\n%!"
+    parse_per_byte prepare_per_node
 
 let benchmark tests =
   let instances = Instance.[ monotonic_clock ] in

@@ -3,209 +3,433 @@ exception Parse_error of int * string
 let fail line fmt = Printf.ksprintf (fun s -> raise (Parse_error (line, s))) fmt
 
 (* ------------------------------------------------------------------ *)
-(* Lexical layer: logical lines (continuations folded, comments and    *)
-(* blank lines dropped), each paired with its source line number.      *)
+(* Reading, in one pass over the text.  The scanner interns each      *)
+(* signal name once, as a slice of the text, and records covers in    *)
+(* int tables indexed by cover and signal id; {!build} then resolves   *)
+(* them from the outputs down through [Logic.Builder].  No token,     *)
+(* line or name is copied out of the text unless it names a primary   *)
+(* input or output, or an error.                                       *)
 (* ------------------------------------------------------------------ *)
 
-let logical_lines text =
-  let raw = String.split_on_char '\n' text in
-  let out = ref [] in
-  let pending = Buffer.create 80 in
-  let pending_start = ref 0 in
-  let flush_pending last_line =
-    if Buffer.length pending > 0 then begin
-      out := (!pending_start, Buffer.contents pending) :: !out;
-      Buffer.clear pending
+(* A growable int array. *)
+type ints = { mutable a : int array; mutable n : int }
+
+let ints k = { a = Array.make (max k 8) 0; n = 0 }
+
+let push v x =
+  if v.n = Array.length v.a then begin
+    let a = Array.make (2 * v.n) 0 in
+    Array.blit v.a 0 a 0 v.n;
+    v.a <- a
+  end;
+  Array.unsafe_set v.a v.n x;
+  v.n <- v.n + 1
+
+let is_space = function ' ' | '\t' | '\r' | '\012' | '\n' -> true | _ -> false
+
+(* A physical line is trimmed of [is_space] bytes after its [#] comment
+   is cut; a logical line is its physical lines, each without a trailing
+   [\\], joined by spaces.  Tokens are separated by spaces and tabs. *)
+
+(* The text of the logical line that starts at [pos], as error messages
+   quote it: each physical line's body followed by one space. *)
+let logical_text text pos =
+  let n = String.length text in
+  let buf = Buffer.create 80 in
+  let pos = ref pos and fin = ref false in
+  while (not !fin) && !pos <= n do
+    let e = ref !pos and cut = ref (-1) in
+    while !e < n && text.[!e] <> '\n' do
+      if !cut < 0 && text.[!e] = '#' then cut := !e;
+      incr e
+    done;
+    let lo = ref !pos and hi = ref (if !cut >= 0 then !cut else !e) in
+    while !lo < !hi && is_space text.[!lo] do incr lo done;
+    while !hi > !lo && is_space text.[!hi - 1] do decr hi done;
+    if !lo < !hi then begin
+      let continued = text.[!hi - 1] = '\\' in
+      Buffer.add_string buf
+        (String.sub text !lo (!hi - !lo - if continued then 1 else 0));
+      Buffer.add_char buf ' ';
+      fin := not continued
     end;
-    ignore last_line
-  in
-  List.iteri
-    (fun i line ->
-      let lineno = i + 1 in
-      let line =
-        match String.index_opt line '#' with
-        | Some j -> String.sub line 0 j
-        | None -> line
-      in
-      let line = String.trim line in
-      if line <> "" then begin
-        let continued = String.length line > 0 && line.[String.length line - 1] = '\\' in
-        let body = if continued then String.sub line 0 (String.length line - 1) else line in
-        if Buffer.length pending = 0 then pending_start := lineno;
-        Buffer.add_string pending body;
-        Buffer.add_char pending ' ';
-        if not continued then flush_pending lineno
-      end)
-    raw;
-  flush_pending 0;
-  List.rev !out
-
-let tokens s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun t -> t <> "")
-
-(* ------------------------------------------------------------------ *)
-(* Parsing proper.                                                     *)
-(* ------------------------------------------------------------------ *)
-
-type cover = {
-  c_line : int;
-  c_inputs : string list;
-  c_output : string;
-  mutable c_cubes : (string * char) list;  (* input pattern, output value *)
-}
+    pos := !e + 1
+  done;
+  Buffer.contents buf
 
 type model = {
-  m_name : string;
-  m_inputs : (int * string) list;
-  m_outputs : (int * string) list;
-  m_covers : cover list;
+  text : string;
+  mutable name : string;
+  names : Logic.Hashcons.t;  (* a name's key -> its signal id *)
+  mutable key : int array;  (* the key being looked up *)
+  (* signals, by id: the slice of their first occurrence *)
+  s_off : ints;
+  s_len : ints;
+  s_def : ints;  (* the cover that drives the signal, or -1 *)
+  s_input : ints;  (* 1 once declared in [.inputs] *)
+  inputs : ints;  (* signal ids, in declaration order *)
+  outputs : ints;  (* signal ids, in declaration order *)
+  out_line : ints;  (* the [.outputs] line of each *)
+  (* covers, by id: cover [c]'s fanins are [fanins.a.(c_fanin.a.(c) ..
+     c_fanin.a.(c + 1) - 1)] and its cubes [cubes.a.(c_cube.a.(c) ..
+     c_cube.a.(c + 1) - 1)], the last cover's running to the end *)
+  c_line : ints;
+  c_out : ints;
+  c_fanin : ints;
+  c_cube : ints;
+  fanins : ints;
+  cubes : ints;  (* 2 * offset of the input pattern + output bit *)
+  (* errors that resolution raises first, once every line has parsed *)
+  mutable twice_defined : int;  (* first cover redefining a signal *)
+  mutable twice_input : int;  (* first input declared again *)
 }
 
-let parse_model lines =
-  let name = ref "model" in
-  let ins = ref [] and outs = ref [] and covers = ref [] in
-  let current : cover option ref = ref None in
-  let close_current () = current := None in
-  let rec go = function
-    | [] -> ()
-    | (lineno, line) :: rest -> (
-        match tokens line with
-        | [] -> go rest
-        | tok :: args when String.length tok > 0 && tok.[0] = '.' -> (
-            close_current ();
-            match tok with
-            | ".model" ->
-                (match args with nm :: _ -> name := nm | [] -> ());
-                go rest
-            | ".inputs" ->
-                ins := !ins @ List.map (fun a -> (lineno, a)) args;
-                go rest
-            | ".outputs" ->
-                outs := !outs @ List.map (fun a -> (lineno, a)) args;
-                go rest
-            | ".names" -> (
-                match List.rev args with
-                | [] -> fail lineno ".names with no signals"
-                | output :: rev_inputs ->
-                    let c =
-                      {
-                        c_line = lineno;
-                        c_inputs = List.rev rev_inputs;
-                        c_output = output;
-                        c_cubes = [];
-                      }
-                    in
-                    covers := c :: !covers;
-                    current := Some c;
-                    go rest)
-            | ".end" -> ()
-            | ".latch" | ".subckt" | ".gate" | ".mlatch" ->
-                fail lineno "%s is not supported (combinational BLIF only)" tok
-            | ".exdc" -> ()  (* ignore external don't-care section onwards *)
-            | _ ->
-                (* Unknown dot-directives are skipped, as SIS emits several. *)
-                go rest)
-        | toks -> (
-            match !current with
-            | None -> fail lineno "cube line outside a .names block: %s" line
-            | Some c ->
-                let pattern, out_val =
-                  match (toks, c.c_inputs) with
-                  | [ only ], [] ->
-                      (* Constant: a bare output column. *)
-                      ("", only.[0])
-                  | [ pat; out ], _ -> (pat, out.[0])
-                  | _ -> fail lineno "malformed cube: %s" line
-                in
-                if String.length pattern <> List.length c.c_inputs then
-                  fail lineno "cube width %d does not match %d inputs"
-                    (String.length pattern) (List.length c.c_inputs);
-                String.iter
-                  (function
-                    | '0' | '1' | '-' -> ()
-                    | ch -> fail lineno "bad cube character %c" ch)
-                  pattern;
-                if out_val <> '0' && out_val <> '1' then
-                  fail lineno "bad output value %c" out_val;
-                c.c_cubes <- (pattern, out_val) :: c.c_cubes;
-                go rest))
-  in
-  go lines;
-  (* [ins] and [outs] are built by appending, so they are already in
-     declaration order; [covers] is built by prepending. *)
+let signal_name m s = String.sub m.text m.s_off.a.(s) m.s_len.a.(s)
+
+(* The key of the name [text.[off .. off+len-1]]: its length, then its
+   bytes packed seven to an int.  Returns the key's length. *)
+let name_key text off len key =
+  let words = 1 + ((len + 6) / 7) in
+  key.(0) <- len;
+  for w = 1 to words - 1 do
+    let first = off + (7 * (w - 1)) in
+    let last = if w = words - 1 then off + len - 1 else first + 6 in
+    let x = ref 0 in
+    for i = first to last do
+      x := (!x lsl 8) lor Char.code (String.unsafe_get text i)
+    done;
+    key.(w) <- !x
+  done;
+  words
+
+(* The id of the signal named by [text.[off .. off+len-1]]. *)
+let intern m off len =
+  if Array.length m.key < 2 + (len / 7) then m.key <- Array.make (4 + (len / 3)) 0;
+  let words = name_key m.text off len m.key in
+  let next = m.s_off.n in
+  let s = Logic.Hashcons.find_or_add m.names m.key words next in
+  if s = next then begin
+    push m.s_off off;
+    push m.s_len len;
+    push m.s_def (-1);
+    push m.s_input 0
+  end;
+  s
+
+(* One line of a cover takes some 24 bytes or more, so a table sized to
+   [len / 24] entries rarely grows. *)
+let create_model text =
+  let est = (String.length text / 24) + 16 in
+  let s_off = ints est and s_len = ints est in
+  let key_of s key = name_key text s_off.a.(s) s_len.a.(s) key in
   {
-    m_name = !name;
-    m_inputs = !ins;
-    m_outputs = !outs;
-    m_covers = List.rev !covers;
+    text;
+    name = "model";
+    names = Logic.Hashcons.create est ~key_of;
+    key = Array.make 8 0;
+    s_off;
+    s_len;
+    s_def = ints est;
+    s_input = ints est;
+    inputs = ints 16;
+    outputs = ints 16;
+    out_line = ints 16;
+    c_line = ints est;
+    c_out = ints est;
+    c_fanin = ints est;
+    c_cube = ints est;
+    fanins = ints (2 * est);
+    cubes = ints est;
+    twice_defined = -1;
+    twice_input = -1;
   }
 
-(* Build a network from a parsed model, resolving signal dependencies
-   recursively (covers may appear in any order). *)
-let build model =
-  let b = Logic.Builder.create ~name:model.m_name () in
-  let by_output = Hashtbl.create 64 in
-  List.iter
-    (fun c ->
-      if Hashtbl.mem by_output c.c_output then
-        fail c.c_line "signal %s is defined twice" c.c_output;
-      Hashtbl.replace by_output c.c_output c)
-    model.m_covers;
-  let wires : (string, Logic.Builder.wire) Hashtbl.t = Hashtbl.create 64 in
-  let in_progress : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (_, nm) ->
-      if Hashtbl.mem wires nm then fail 0 "input %s declared twice" nm;
-      Hashtbl.replace wires nm (Logic.Builder.input b nm))
-    model.m_inputs;
-  let rec resolve lineno nm =
-    match Hashtbl.find_opt wires nm with
-    | Some w -> w
-    | None -> (
-        if Hashtbl.mem in_progress nm then fail lineno "combinational cycle through %s" nm;
-        match Hashtbl.find_opt by_output nm with
-        | None -> fail lineno "undefined signal %s" nm
-        | Some c ->
-            Hashtbl.replace in_progress nm ();
-            let fanins = List.map (resolve c.c_line) c.c_inputs in
-            let w = build_cover c (Array.of_list fanins) in
-            Hashtbl.remove in_progress nm;
-            Hashtbl.replace wires nm w;
-            w)
-  and build_cover c fanins =
-    let cubes = List.rev c.c_cubes in
-    match cubes with
-    | [] -> Logic.Builder.const b false
-    | _ ->
-        let out_vals = List.sort_uniq compare (List.map snd cubes) in
-        (match out_vals with
-        | [ _ ] -> ()
-        | _ -> fail c.c_line "mixed on-set and off-set cubes for %s" c.c_output);
-        let complemented = List.for_all (fun (_, v) -> v = '0') cubes in
-        let cube_wire (pattern, _) =
-          let lits = ref [] in
-          String.iteri
-            (fun i ch ->
-              match ch with
-              | '1' -> lits := fanins.(i) :: !lits
-              | '0' -> lits := Logic.Builder.not_ b fanins.(i) :: !lits
-              | _ -> ())
-            pattern;
-          Logic.Builder.and_ b (List.rev !lits)
-        in
-        let disj = Logic.Builder.or_ b (List.map cube_wire cubes) in
-        if complemented then Logic.Builder.not_ b disj else disj
-  in
-  List.iter
-    (fun (lineno, nm) ->
-      let w = resolve lineno nm in
-      Logic.Network.set_output (Logic.Builder.network b) nm w)
-    model.m_outputs;
-  Logic.Builder.network b
+let tok_is text off len word =
+  len = String.length word
+  &&
+  let j = ref 0 in
+  while !j < len && String.unsafe_get text (off + !j) = String.unsafe_get word !j do
+    incr j
+  done;
+  !j = len
 
-let parse_string text = build (parse_model (logical_lines text))
+(* Parse every line up to [.end] into [m]; syntax errors raise here. *)
+let scan m =
+  let text = m.text in
+  let n = String.length text in
+  (* the tokens of the logical line being read *)
+  let t_off = ints 16 and t_len = ints 16 in
+  let name k = intern m t_off.a.(k) t_len.a.(k) in
+  let current = ref (-1) in  (* the open [.names] cover *)
+  let line = ref 0 and line_pos = ref 0 in  (* where the logical line starts *)
+  (* One logical line; [true] at [.end] or [.exdc], which end the model. *)
+  let logical () =
+    let ntok = t_off.n in
+    if ntok = 0 then false
+    else begin
+      let off0 = t_off.a.(0) and len0 = t_len.a.(0) in
+      if text.[off0] = '.' then begin
+        current := -1;
+        if tok_is text off0 len0 ".model" then begin
+          if ntok > 1 then m.name <- String.sub text t_off.a.(1) t_len.a.(1);
+          false
+        end
+        else if tok_is text off0 len0 ".inputs" then begin
+          for k = 1 to ntok - 1 do
+            let s = name k in
+            if m.s_input.a.(s) = 1 && m.twice_input < 0 then m.twice_input <- s;
+            m.s_input.a.(s) <- 1;
+            push m.inputs s
+          done;
+          false
+        end
+        else if tok_is text off0 len0 ".outputs" then begin
+          for k = 1 to ntok - 1 do
+            push m.outputs (name k);
+            push m.out_line !line
+          done;
+          false
+        end
+        else if tok_is text off0 len0 ".names" then begin
+          if ntok = 1 then fail !line ".names with no signals";
+          let c = m.c_line.n in
+          let out = name (ntok - 1) in
+          push m.c_line !line;
+          push m.c_out out;
+          push m.c_fanin m.fanins.n;
+          push m.c_cube m.cubes.n;
+          for k = 1 to ntok - 2 do
+            push m.fanins (name k)
+          done;
+          if m.s_def.a.(out) < 0 then m.s_def.a.(out) <- c
+          else if m.twice_defined < 0 then m.twice_defined <- c;
+          current := c;
+          false
+        end
+        else if tok_is text off0 len0 ".end" || tok_is text off0 len0 ".exdc"
+        then true
+          (* everything after an external don't-care section is ignored *)
+        else begin
+          List.iter
+            (fun d ->
+              if tok_is text off0 len0 d then
+                fail !line "%s is not supported (combinational BLIF only)" d)
+            [ ".latch"; ".subckt"; ".gate"; ".mlatch" ];
+          (* Unknown dot-directives are skipped, as SIS emits several. *)
+          false
+        end
+      end
+      else begin
+        let c = !current in
+        if c < 0 then
+          fail !line "cube line outside a .names block: %s"
+            (logical_text text !line_pos);
+        let nin = m.fanins.n - m.c_fanin.a.(c) in
+        (* A zero-input cover's cube is its output column alone. *)
+        let plen =
+          if ntok = 1 && nin = 0 then 0
+          else if ntok = 2 then len0
+          else fail !line "malformed cube: %s" (logical_text text !line_pos)
+        in
+        let out = text.[t_off.a.(ntok - 1)] in
+        if plen <> nin then
+          fail !line "cube width %d does not match %d inputs" plen nin;
+        for i = off0 to off0 + plen - 1 do
+          match text.[i] with
+          | '0' | '1' | '-' -> ()
+          | ch -> fail !line "bad cube character %c" ch
+        done;
+        if out <> '0' && out <> '1' then fail !line "bad output value %c" out;
+        push m.cubes ((2 * off0) + if out = '1' then 1 else 0);
+        false
+      end
+    end
+  in
+  let push_token start len =
+    push t_off start;
+    push t_len len
+  in
+  let drop_tokens k =
+    t_off.n <- k;
+    t_len.n <- k
+  in
+  let trimmed i = match text.[i] with '\r' | '\012' -> true | _ -> false in
+  let pos = ref 0 and lineno = ref 1 and pending = ref false and stop = ref false in
+  while (not !stop) && !pos <= n do
+    let first = t_off.n in
+    (* The line's tokens, up to its '#' or end. *)
+    let i = ref !pos and fin = ref false in
+    while not !fin do
+      while
+        !i < n && match String.unsafe_get text !i with ' ' | '\t' -> true | _ -> false
+      do
+        incr i
+      done;
+      if !i >= n then fin := true
+      else
+        match String.unsafe_get text !i with
+        | '\n' | '#' -> fin := true
+        | _ ->
+            let start = !i in
+            while
+              !i < n
+              &&
+              match String.unsafe_get text !i with
+              | ' ' | '\t' | '\n' | '#' -> false
+              | _ -> true
+            do
+              incr i
+            done;
+            push_token start (!i - start)
+    done;
+    let e = ref !i in
+    while !e < n && String.unsafe_get text !e <> '\n' do
+      incr e
+    done;
+    let last = t_off.n - 1 in
+    if last >= first && (trimmed t_off.a.(first) || trimmed (t_off.a.(last) + t_len.a.(last) - 1))
+    then begin
+      (* A '\r' or form feed at an end of the line: trim it as a space,
+         then split what is left. *)
+      drop_tokens first;
+      let lo = ref !pos and hi = ref !pos in
+      while !hi < !e && text.[!hi] <> '#' do incr hi done;
+      while !lo < !hi && is_space text.[!lo] do incr lo done;
+      while !hi > !lo && is_space text.[!hi - 1] do decr hi done;
+      let j = ref !lo in
+      while !j < !hi do
+        while !j < !hi && (text.[!j] = ' ' || text.[!j] = '\t') do incr j done;
+        let start = !j in
+        while !j < !hi && text.[!j] <> ' ' && text.[!j] <> '\t' do incr j done;
+        if !j > start then push_token start (!j - start)
+      done
+    end;
+    let last = t_off.n - 1 in
+    if last >= first then begin
+      (* A line that is not blank; a final '\\' continues it. *)
+      if not !pending then begin
+        pending := true;
+        line := !lineno;
+        line_pos := !pos
+      end;
+      let len = t_len.a.(last) in
+      if text.[t_off.a.(last) + len - 1] = '\\' then begin
+        let start = t_off.a.(last) in
+        drop_tokens last;
+        if len > 1 then push_token start (len - 1)
+      end
+      else begin
+        pending := false;
+        stop := logical ();
+        drop_tokens 0
+      end
+    end;
+    incr lineno;
+    pos := !e + 1
+  done;
+  if !pending && not !stop then ignore (logical ())
+
+(* Resolve the model from its outputs down: covers may appear in any
+   order, and a cover no output reaches is never built. *)
+let build m =
+  if m.twice_defined >= 0 then begin
+    let c = m.twice_defined in
+    fail m.c_line.a.(c) "signal %s is defined twice" (signal_name m m.c_out.a.(c))
+  end;
+  if m.twice_input >= 0 then
+    fail 0 "input %s declared twice" (signal_name m m.twice_input);
+  let b = Logic.Builder.create ~name:m.name ~size:m.c_line.n () in
+  let text = m.text in
+  let nsig = m.s_off.n in
+  let wires = Array.make nsig (-1) in
+  let in_progress = Bytes.make nsig '\000' in
+  for k = 0 to m.inputs.n - 1 do
+    let s = m.inputs.a.(k) in
+    wires.(s) <- Logic.Builder.input b (signal_name m s)
+  done;
+  (* Resolved fanin wires of the covers being built, innermost on top. *)
+  let stack = ints 64 in
+  let rec resolve lineno s =
+    let w = wires.(s) in
+    if w >= 0 then w
+    else begin
+      if Bytes.get in_progress s <> '\000' then
+        fail lineno "combinational cycle through %s" (signal_name m s);
+      let c = m.s_def.a.(s) in
+      if c < 0 then fail lineno "undefined signal %s" (signal_name m s);
+      Bytes.set in_progress s '\001';
+      let first = m.c_fanin.a.(c) in
+      let last = if c + 1 < m.c_fanin.n then m.c_fanin.a.(c + 1) else m.fanins.n in
+      let base = stack.n and nin = last - first in
+      for k = 0 to nin - 1 do
+        let w = resolve m.c_line.a.(c) m.fanins.a.(first + k) in
+        push stack w
+      done;
+      let w = build_cover c base nin in
+      stack.n <- base;
+      Bytes.set in_progress s '\000';
+      wires.(s) <- w;
+      w
+    end
+  (* [nary b ws] over the wires on [stack] from [at] up, which it pops;
+     one wire is its own AND or OR, two take the pairwise entry point. *)
+  and combine nary pair at =
+    let w =
+      match stack.n - at with
+      | 1 -> stack.a.(at)
+      | 2 -> pair b stack.a.(at) stack.a.(at + 1)
+      | _ ->
+          let ws = ref [] in
+          for j = stack.n - 1 downto at do
+            ws := stack.a.(j) :: !ws
+          done;
+          nary b !ws
+    in
+    stack.n <- at;
+    w
+  and build_cover c base nin =
+    let first = m.c_cube.a.(c) in
+    let last = if c + 1 < m.c_cube.n then m.c_cube.a.(c + 1) else m.cubes.n in
+    if first = last then Logic.Builder.const b false
+    else begin
+      let on = m.cubes.a.(first) land 1 in
+      for q = first + 1 to last - 1 do
+        if m.cubes.a.(q) land 1 <> on then
+          fail m.c_line.a.(c) "mixed on-set and off-set cubes for %s"
+            (signal_name m m.c_out.a.(c))
+      done;
+      let complemented = on = 0 in
+      (* Each cube's literals in pattern order, then the cube's AND; the
+         cube wires wait on [stack] above the fanins for the OR. *)
+      let cubes_at = stack.n in
+      for q = first to last - 1 do
+        let pat = m.cubes.a.(q) lsr 1 in
+        let lits_at = stack.n in
+        for i = 0 to nin - 1 do
+          match String.unsafe_get text (pat + i) with
+          | '1' -> push stack stack.a.(base + i)
+          | '0' -> push stack (Logic.Builder.not_ b stack.a.(base + i))
+          | _ -> ()
+        done;
+        let conj = combine Logic.Builder.and_ Logic.Builder.and2 lits_at in
+        push stack conj
+      done;
+      let disj = combine Logic.Builder.or_ Logic.Builder.or2 cubes_at in
+      if complemented then Logic.Builder.not_ b disj else disj
+    end
+  in
+  let net = Logic.Builder.network b in
+  for k = 0 to m.outputs.n - 1 do
+    let s = m.outputs.a.(k) in
+    let w = resolve m.out_line.a.(k) s in
+    Logic.Network.set_output net (signal_name m s) w
+  done;
+  net
+
+let parse_string text =
+  let m = create_model text in
+  scan m;
+  build m
 
 let parse_file path =
   let ic = open_in path in

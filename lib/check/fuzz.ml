@@ -104,7 +104,8 @@ type net_shape = {
 let usable u max_nodes = Unetwork.node_count u <= max_nodes && Shrink.valid u
 
 (* Draw generator parameters until decomposition yields a mappable
-   network.  Returns the attempts burned so the report can count them. *)
+   network; the source network comes back with its unate form.  Returns
+   the attempts burned so the report can count them. *)
 let gen_unetwork rng max_nodes =
   let rec attempt burned tries =
     if tries = 0 then (None, burned)
@@ -126,7 +127,7 @@ let gen_unetwork rng max_nodes =
              ~outputs:shape.ns_outputs ~seed:shape.ns_seed)
       in
       let u = Mapper.Algorithms.prepare net in
-      if usable u max_nodes then (Some (u, shape), burned)
+      if usable u max_nodes then (Some (u, shape, net), burned)
       else attempt (burned + 1) (tries - 1)
     end
   in
@@ -199,11 +200,14 @@ let exec_run params i =
       let candidate, burned = gen_unetwork rng params.max_nodes in
       match candidate with
       | None -> O_exhausted burned
-      | Some (u, shape) -> (
+      | Some (u, shape, net) -> (
           let cfg =
             { (Gen_config.sample rng) with Gen_config.rewrite = params.rewrite }
           in
           let oracle_seed = Logic.Rng.int rng 0x3FFFFFFF in
+          match Oracle.check_frontend ~net_seed:shape.ns_seed net u with
+          | Some failure -> O_fail { burned; shape; u; cfg; oracle_seed; failure }
+          | None -> (
           (* Per-run memo table: the run stays a pure function of
              [(params, i)], so reports are [-j]-invariant; the rebuild
              of a passing circuit below is then a pure cache hit. *)
@@ -290,7 +294,7 @@ let exec_run params i =
                   burned;
                   net_seed = Some shape.ns_seed;
                   reason = Resilience.Budget.reason_to_string reason;
-                })
+                }))
     with
     | Resilience.Budget.Exhausted reason ->
         O_timeout
@@ -526,15 +530,23 @@ let run params =
           | Oracle.Fail f' -> f'.Oracle.kind = f.Oracle.kind
           | Oracle.Pass _ -> false
         in
+        (* A front-end failure is not shrunk: the shrinker edits unate
+           networks, and this failure lives in the source network the
+           net seed rebuilds. *)
         let shrunk =
-          Obs.Trace.with_span ~cat:"fuzz" "fuzz.shrink" (fun () ->
-              Shrink.minimize ~max_checks:params.shrink_checks ~fails u cfg)
+          if f.Oracle.kind = Oracle.Frontend then { Shrink.u; cfg; checks = 0 }
+          else
+            Obs.Trace.with_span ~cat:"fuzz" "fuzz.shrink" (fun () ->
+                Shrink.minimize ~max_checks:params.shrink_checks ~fails u cfg)
         in
         Obs.Metrics.add m_shrink_checks shrunk.Shrink.checks;
         (* Re-run the shrunk pair to report its (possibly sharper)
            failure detail. *)
         let detail, cex_input, cex_output =
-          match check shrunk.Shrink.u shrunk.Shrink.cfg with
+          match
+            if f.Oracle.kind = Oracle.Frontend then Oracle.Fail f
+            else check shrunk.Shrink.u shrunk.Shrink.cfg
+          with
           | Oracle.Fail f' ->
               (f'.Oracle.detail, f'.Oracle.cex_input, f'.Oracle.cex_output)
           | Oracle.Pass _ ->

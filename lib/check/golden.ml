@@ -95,6 +95,19 @@ let rewrite_entry ~bench tag =
         header ^ Domino.Circuit.dump r.Algorithms.circuit);
   }
 
+(* Front-end pins: the mapper's view of a network that arrives as BLIF
+   text.  Node order out of [Blif.parse_string] decides node order all
+   the way down to the dump, so these pin the parser node for node. *)
+let blif_entry name what net =
+  {
+    name;
+    what;
+    render =
+      (fun () ->
+        run_flow Algorithms.Soi_domino_map
+          (Blif.parse_string (Blif.to_string (net ()))));
+  }
+
 let corpus =
   [
     {
@@ -127,6 +140,16 @@ let corpus =
     extra_entry "gray8";
     extra_entry "lfsr16";
     extra_entry "dec5";
+    (* The daemon's remap payload: an edited unate network as BLIF. *)
+    blif_entry "blif_c880_edit"
+      "SOI_Domino_Map on the BLIF of seed-42 edited, prepared c880"
+      (fun () ->
+        Unate.Unetwork.to_network
+          (Edit.apply ~seed:42 (Algorithms.prepare (build_any "c880"))));
+    (* OR covers of up to 27 cubes, and NOT covers. *)
+    blif_entry "blif_c432"
+      "SOI_Domino_Map on the raw generator c432 through BLIF"
+      (fun () -> build_any "c432");
   ]
 
 let find name = List.find_opt (fun e -> e.name = name) corpus

@@ -14,9 +14,11 @@ open Domino
         zero corrupted cycles under body-charging hold/strike stimulus.
 
    Structural validation and mapper crashes are reported as their own
-   failure kinds so the shrinker can preserve them. *)
+   failure kinds so the shrinker can preserve them.  The front end — BLIF
+   reading and writing, and the preparation of the unate network the
+   oracles above start from — has its own check and kind. *)
 
-type kind = Structure | Bdd | Eval | Pbe | Crash
+type kind = Structure | Bdd | Eval | Pbe | Crash | Frontend
 
 let kind_name = function
   | Structure -> "structure"
@@ -24,6 +26,7 @@ let kind_name = function
   | Eval -> "eval"
   | Pbe -> "pbe"
   | Crash -> "crash"
+  | Frontend -> "frontend"
 
 type failure = {
   kind : kind;
@@ -45,6 +48,58 @@ let fail kind fmt =
   Printf.ksprintf
     (fun detail -> Fail { kind; detail; cex_input = None; cex_output = None })
     fmt
+
+(* The front end against a source network [net], which [net_seed]
+   rebuilds: a BDD comparison (inputs matched by position, outputs by
+   name) that falls back to seeded sampling past [limit] BDD nodes, so
+   the wide suite circuits stay checkable. *)
+let frontend_failure ?limit ~net_seed ~what net other =
+  let checked =
+    Logic.Equiv.networks_or_sample ?limit ~seed:net_seed net other
+  in
+  match checked.Logic.Equiv.verdict with
+  | Logic.Equiv.Equivalent -> None
+  | Logic.Equiv.Counterexample { input; output } ->
+      Some
+        {
+          kind = Frontend;
+          detail = Printf.sprintf "net seed %d: %s differs from source" net_seed what;
+          cex_input = Some input;
+          cex_output = Some output;
+        }
+  | Logic.Equiv.Unknown reason ->
+      Some
+        {
+          kind = Frontend;
+          detail = Printf.sprintf "net seed %d: %s: %s" net_seed what reason;
+          cex_input = None;
+          cex_output = None;
+        }
+
+(* The unate network [u] that [net] prepared to computes [net]. *)
+let check_prepare ?limit ~net_seed net u =
+  frontend_failure ?limit ~net_seed ~what:"prepared unate network" net
+    (Unate.Unetwork.to_network u)
+
+(* [net] survives a BLIF round trip. *)
+let check_roundtrip ?limit ~net_seed net =
+  match Blif.parse_string (Blif.to_string net) with
+  | parsed -> frontend_failure ?limit ~net_seed ~what:"BLIF round trip" net parsed
+  | exception e ->
+      Some
+        {
+          kind = Frontend;
+          detail =
+            Printf.sprintf "net seed %d: BLIF round trip raised %s" net_seed
+              (Printexc.to_string e);
+          cex_input = None;
+          cex_output = None;
+        }
+
+let check_frontend ~net_seed net u =
+  match check_prepare ~net_seed net u with
+  | Some _ as failure -> failure
+  | None -> check_roundtrip ~net_seed net
 
 (* Map [u] under [cfg], applying the flow postprocess the paper pairs with
    each style: bulk circuits get their discharge transistors from the

@@ -10,7 +10,7 @@ type counterexample = {
   net_inputs : int;
   net_gates : int;
   net_outputs : int;
-  oracle : string;      (* which oracle tripped: structure/bdd/eval/pbe/crash *)
+  oracle : string;      (* which oracle tripped: structure/bdd/eval/pbe/crash/frontend *)
   detail : string;
   cex_input : string option;   (* failing input assignment, LSB-first bits *)
   cex_output : string option;

@@ -1,13 +1,15 @@
 type wire = int
 
-type key = K_not of int | K_gate of Gate.t * int list
-
 type t = {
   net : Network.t;
-  consed : (key, int) Hashtbl.t;
+  consed : Hashcons.t;
+  mutable key : int array;
+      (* scratch: the tag then the fanins of the node being built *)
 }
 
-let create ?name () = { net = Network.create ?name (); consed = Hashtbl.create 256 }
+let create ?name ?(size = 256) () =
+  let net = Network.create ?name () in
+  { net; consed = Hashcons.create size ~key_of:(Hashcons.gate_key net); key = Array.make 16 0 }
 
 let network b = b.net
 
@@ -17,62 +19,90 @@ let inputs b prefix k = Array.init k (fun i -> input b (Printf.sprintf "%s%d" pr
 
 let const b v = Network.add_const b.net v
 
-let is_const b w v =
-  match (Network.node b.net w).Network.func with
-  | Network.Const c -> c = v
-  | Network.Input | Network.Gate _ -> false
-
-let as_not b w =
-  match (Network.node b.net w).Network.func with
-  | Network.Gate Gate.Not -> Some (Network.node b.net w).Network.fanins.(0)
-  | Network.Input | Network.Const _ | Network.Gate _ -> None
-
-let cons b key build =
-  match Hashtbl.find_opt b.consed key with
-  | Some id -> id
-  | None ->
-      let id = build () in
-      Hashtbl.replace b.consed key id;
-      id
+(* The node whose [k] fanins are in [key.(1..k)]. *)
+let cons b g k =
+  let key = b.key in
+  key.(0) <- Hashcons.gate_tag g;
+  let next = Network.node_count b.net in
+  let id = Hashcons.find_or_add b.consed key (k + 1) next in
+  if id = next then ignore (Network.add_gate b.net g (Array.sub key 1 k));
+  id
 
 let not_ b w =
-  match as_not b w with
-  | Some inner -> inner
-  | None ->
-      if is_const b w false then const b true
-      else if is_const b w true then const b false
-      else cons b (K_not w) (fun () -> Network.add_gate b.net Gate.Not [| w |])
+  let nd = Network.node b.net w in
+  match nd.Network.func with
+  | Network.Gate Gate.Not -> nd.Network.fanins.(0)
+  | Network.Const c -> const b (not c)
+  | Network.Input | Network.Gate _ ->
+      b.key.(1) <- w;
+      cons b Gate.Not 1
 
-let andor b g ws =
-  let absorbing = (g = Gate.Or) in
-  if List.exists (fun w -> is_const b w absorbing) ws then const b absorbing
-  else
-    let ws = List.filter (fun w -> not (is_const b w (not absorbing))) ws in
-    let ws = List.sort_uniq compare ws in
-    match ws with
-    | [] -> const b (not absorbing)
-    | [ w ] -> w
-    | _ -> cons b (K_gate (g, ws)) (fun () -> Network.add_gate b.net g (Array.of_list ws))
+(* And/Or over the [k] wires in [key.(1..k)]. *)
+let andor_key b g k =
+  let absorbing = g = Gate.Or in
+  let key = b.key in
+  let zero = Network.const_node b.net absorbing in
+  let absorbed = ref false and i = ref 1 in
+  while (not !absorbed) && !i <= k do
+    absorbed := key.(!i) = zero;
+    incr i
+  done;
+  if !absorbed then const b absorbing
+  else begin
+    let one = Network.const_node b.net (not absorbing) in
+    let m = ref 0 in
+    for i = 1 to k do
+      let w = key.(i) in
+      if w <> one then begin
+        incr m;
+        key.(!m) <- w
+      end
+    done;
+    Hashcons.sort_fanins key 1 !m;
+    match Hashcons.dedup_fanins key 1 !m with
+    | 0 -> const b (not absorbing)
+    | 1 -> key.(1)
+    | m -> cons b g m
+  end
 
-let and_ b ws = andor b Gate.And ws
-let or_ b ws = andor b Gate.Or ws
+let load_key b ws =
+  let k = List.length ws in
+  if Array.length b.key <= k then b.key <- Array.make (2 * (k + 1)) 0;
+  List.iteri (fun i w -> b.key.(i + 1) <- w) ws;
+  k
+
+let and_ b ws = andor_key b Gate.And (load_key b ws)
+let or_ b ws = andor_key b Gate.Or (load_key b ws)
 
 let xor_ b ws =
-  let ws = List.filter (fun w -> not (is_const b w false)) ws in
-  let invert = List.length (List.filter (fun w -> is_const b w true) ws) mod 2 = 1 in
-  let ws = List.filter (fun w -> not (is_const b w true)) ws in
-  let ws = List.sort compare ws in
+  let k = load_key b ws in
+  let key = b.key in
+  let one = Network.const_node b.net true and zero = Network.const_node b.net false in
+  let m = ref 0 and invert = ref false in
+  for i = 1 to k do
+    let w = key.(i) in
+    if w = one then invert := not !invert
+    else if w <> zero then begin
+      incr m;
+      key.(!m) <- w
+    end
+  done;
+  Hashcons.sort_fanins key 1 !m;
   let core =
-    match ws with
-    | [] -> const b false
-    | [ w ] -> w
-    | _ -> cons b (K_gate (Gate.Xor, ws)) (fun () ->
-               Network.add_gate b.net Gate.Xor (Array.of_list ws))
+    match !m with
+    | 0 -> const b false
+    | 1 -> key.(1)
+    | m -> cons b Gate.Xor m
   in
-  if invert then not_ b core else core
+  if !invert then not_ b core else core
 
-let and2 b x y = and_ b [ x; y ]
-let or2 b x y = or_ b [ x; y ]
+let pair b g x y =
+  b.key.(1) <- x;
+  b.key.(2) <- y;
+  andor_key b g 2
+
+let and2 b x y = pair b Gate.And x y
+let or2 b x y = pair b Gate.Or x y
 let xor2 b x y = xor_ b [ x; y ]
 let nand2 b x y = not_ b (and2 b x y)
 let nor2 b x y = not_ b (or2 b x y)

@@ -13,8 +13,10 @@ type t
 type wire = int
 (** A wire is the identifier of the node that drives it. *)
 
-val create : ?name:string -> unit -> t
-(** [create ~name ()] starts an empty network. *)
+val create : ?name:string -> ?size:int -> unit -> t
+(** [create ~name ()] starts an empty network.  [size] (default 256) is
+    the number of gates expected, which sizes the hash-consing table; it
+    grows past that as needed. *)
 
 val network : t -> Network.t
 (** [network b] is the underlying network (shared, not copied). *)

@@ -54,19 +54,32 @@ let add_const n b =
       if b then n.const1 <- Some id else n.const0 <- Some id;
       id
 
+let const_node n b =
+  match if b then n.const1 else n.const0 with Some id -> id | None -> -1
+
+(* One shared [Gate g] value per gate kind. *)
+let gate_func = function
+  | Gate.And -> Gate Gate.And
+  | Gate.Or -> Gate Gate.Or
+  | Gate.Nand -> Gate Gate.Nand
+  | Gate.Nor -> Gate Gate.Nor
+  | Gate.Xor -> Gate Gate.Xor
+  | Gate.Xnor -> Gate Gate.Xnor
+  | Gate.Not -> Gate Gate.Not
+  | Gate.Buf -> Gate Gate.Buf
+
 let add_gate ?name n g fanins =
   let count = Vec.length n.nodes in
-  Array.iter
-    (fun f ->
-      if f < 0 || f >= count then
-        invalid_arg
-          (Printf.sprintf "Network.add_gate: fanin %d does not exist" f))
-    fanins;
+  for i = 0 to Array.length fanins - 1 do
+    let f = fanins.(i) in
+    if f < 0 || f >= count then
+      invalid_arg (Printf.sprintf "Network.add_gate: fanin %d does not exist" f)
+  done;
   if not (Gate.arity_ok g (Array.length fanins)) then
     invalid_arg
       (Printf.sprintf "Network.add_gate: %s cannot have %d fanins"
          (Gate.to_string g) (Array.length fanins));
-  add_node n (Gate g) fanins name
+  add_node n (gate_func g) fanins name
 
 let set_output n po_name id =
   if id < 0 || id >= Vec.length n.nodes then

@@ -41,6 +41,11 @@ val add_input : ?name:string -> t -> int
 val add_const : t -> bool -> int
 (** [add_const n b] creates (or reuses) the constant-[b] node. *)
 
+val const_node : t -> bool -> int
+(** [const_node n b] is the constant-[b] node, or [-1] if [n] has none
+    yet.  A network has at most one node per constant, so node [id]
+    is the constant [b] exactly when [id = const_node n b]. *)
+
 val add_gate : ?name:string -> t -> Gate.t -> int array -> int
 (** [add_gate n g fanins] creates a gate node.
     @raise Invalid_argument if a fanin does not exist yet or the arity is

@@ -5,126 +5,165 @@ type report = {
   folded : int;
 }
 
-(* Keys for hash-consing: function plus (sorted, for commutative gates)
-   fanin list in the *new* network. *)
-type key = K_not of int | K_gate of Gate.t * int list
-
 (* Copy a network keeping every primary input but only the gates and
-   constants reachable from some primary output. *)
+   constants reachable from some primary output.  A network with nothing
+   to drop is its own compaction. *)
 let compact net =
   let live = Topo.reachable_from_outputs net in
-  let out = Network.create ~name:(Network.name net) () in
-  let map = Array.make (Network.node_count net) (-1) in
-  Network.iter_nodes
-    (fun nd ->
-      let id = nd.Network.id in
-      match nd.Network.func with
-      | Network.Input -> map.(id) <- Network.add_input ?name:nd.Network.name out
-      | Network.Const b -> if live.(id) then map.(id) <- Network.add_const out b
-      | Network.Gate g ->
-          if live.(id) then
-            map.(id) <-
-              Network.add_gate ?name:nd.Network.name out g
-                (Array.map (fun f -> map.(f)) nd.Network.fanins))
-    net;
-  Array.iter (fun (nm, id) -> Network.set_output out nm map.(id)) (Network.outputs net);
-  out
+  let dead =
+    Network.fold_nodes
+      (fun acc nd ->
+        acc
+        || ((not live.(nd.Network.id))
+           && match nd.Network.func with Network.Input -> false | _ -> true))
+      false net
+  in
+  if not dead then net
+  else begin
+    let out = Network.create ~name:(Network.name net) () in
+    let map = Array.make (Network.node_count net) (-1) in
+    Network.iter_nodes
+      (fun nd ->
+        let id = nd.Network.id in
+        match nd.Network.func with
+        | Network.Input -> map.(id) <- Network.add_input ?name:nd.Network.name out
+        | Network.Const b -> if live.(id) then map.(id) <- Network.add_const out b
+        | Network.Gate g ->
+            if live.(id) then
+              map.(id) <-
+                Network.add_gate ?name:nd.Network.name out g
+                  (Array.map (fun f -> map.(f)) nd.Network.fanins))
+      net;
+    Array.iter (fun (nm, id) -> Network.set_output out nm map.(id)) (Network.outputs net);
+    out
+  end
 
 let run_report n =
   let out = Network.create ~name:(Network.name n) () in
-  let consed : (key, int) Hashtbl.t = Hashtbl.create 1024 in
+  let consed = Hashcons.create (Network.node_count n) ~key_of:(Hashcons.gate_key out) in
+  (* The key of the node being built: its gate's tag, then its (sorted,
+     for commutative gates) fanin ids in the new network.  The widest
+     gate of [n] bounds the fanin count. *)
+  let key =
+    Array.make
+      (2 + Network.fold_nodes (fun m nd -> max m (Array.length nd.Network.fanins)) 0 n)
+      0
+  in
   let merged = ref 0 and folded = ref 0 in
   let mk_const b = Network.add_const out b in
-  let is_const id b =
-    match (Network.node out id).Network.func with
-    | Network.Const c -> c = b
-    | Network.Input | Network.Gate _ -> false
+  let is_const id b = id = Network.const_node out b in
+  (* The fanin of an inverter, or -1. *)
+  let not_of id =
+    let nd = Network.node out id in
+    match nd.Network.func with
+    | Network.Gate Gate.Not -> nd.Network.fanins.(0)
+    | Network.Input | Network.Const _ | Network.Gate _ -> -1
   in
-  let is_not id =
-    match (Network.node out id).Network.func with
-    | Network.Gate Gate.Not -> Some (Network.node out id).Network.fanins.(0)
-    | Network.Input | Network.Const _ | Network.Gate _ -> None
-  in
-  let cons key build =
-    match Hashtbl.find_opt consed key with
-    | Some id ->
-        incr merged;
-        id
-    | None ->
-        let id = build () in
-        Hashtbl.replace consed key id;
-        id
+  (* The node whose [k] fanins are in [key.(1..k)]. *)
+  let cons g k =
+    key.(0) <- Hashcons.gate_tag g;
+    let next = Network.node_count out in
+    let id = Hashcons.find_or_add consed key (k + 1) next in
+    if id = next then ignore (Network.add_gate out g (Array.sub key 1 k))
+    else incr merged;
+    id
   in
   let mk_not f =
-    match is_not f with
-    | Some g ->
-        incr folded;
-        g
-    | None ->
-        if is_const f false then (incr folded; mk_const true)
-        else if is_const f true then (incr folded; mk_const false)
-        else cons (K_not f) (fun () -> Network.add_gate out Gate.Not [| f |])
+    let g = not_of f in
+    if g >= 0 then begin
+      incr folded;
+      g
+    end
+    else if is_const f false then (incr folded; mk_const true)
+    else if is_const f true then (incr folded; mk_const false)
+    else begin
+      key.(1) <- f;
+      cons Gate.Not 1
+    end
   in
-  (* Build an n-ary And/Or with absorption over new-network fanins. *)
-  let mk_andor g fanins =
+  (* An n-ary And/Or with absorption over the new-network fanins in
+     [key.(1..k)]. *)
+  let mk_andor g k =
     let absorbing = (g = Gate.Or) in
     (* [absorbing]=true value for Or, false for And. *)
-    if List.exists (fun f -> is_const f absorbing) fanins then begin
+    let absorbed = ref false and i = ref 1 in
+    while (not !absorbed) && !i <= k do
+      absorbed := is_const key.(!i) absorbing;
+      incr i
+    done;
+    if !absorbed then begin
       incr folded;
       mk_const absorbing
     end
     else begin
-      let fanins = List.filter (fun f -> not (is_const f (not absorbing))) fanins in
-      let fanins = List.sort_uniq compare fanins in
+      let m = ref 0 in
+      for i = 1 to k do
+        if not (is_const key.(i) (not absorbing)) then begin
+          incr m;
+          key.(!m) <- key.(i)
+        end
+      done;
+      Hashcons.sort_fanins key 1 !m;
+      let m = Hashcons.dedup_fanins key 1 !m in
       (* Complementary pair detection: x together with Not x. *)
-      let complementary =
-        List.exists
-          (fun f -> match is_not f with Some g -> List.mem g fanins | None -> false)
-          fanins
-      in
-      if complementary then begin
+      let complementary = ref false in
+      for i = 1 to m do
+        let g = not_of key.(i) in
+        if g >= 0 then
+          for j = 1 to m do
+            if key.(j) = g then complementary := true
+          done
+      done;
+      if !complementary then begin
         incr folded;
         mk_const absorbing
       end
       else
-        match fanins with
-        | [] ->
+        match m with
+        | 0 ->
             incr folded;
             mk_const (not absorbing)
-        | [ f ] ->
+        | 1 ->
             incr folded;
-            f
-        | _ ->
-            cons (K_gate (g, fanins)) (fun () ->
-                Network.add_gate out g (Array.of_list fanins))
+            key.(1)
+        | _ -> cons g m
     end
   in
-  let mk_xor fanins =
+  let mk_xor k =
     (* Parity: identical fanins cancel pairwise; constants fold into an
        output inversion. *)
-    let invert = ref false in
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun f ->
-        if is_const f true then invert := not !invert
-        else if is_const f false then ()
-        else
-          match Hashtbl.find_opt tbl f with
-          | Some () -> Hashtbl.remove tbl f
-          | None -> Hashtbl.replace tbl f ())
-      fanins;
-    let remaining = Hashtbl.fold (fun f () acc -> f :: acc) tbl [] |> List.sort compare in
+    let invert = ref false and m = ref 0 in
+    for i = 1 to k do
+      let f = key.(i) in
+      if is_const f true then invert := not !invert
+      else if not (is_const f false) then begin
+        incr m;
+        key.(!m) <- f
+      end
+    done;
+    Hashcons.sort_fanins key 1 !m;
+    (* Keep one copy of each fanin that occurs an odd number of times. *)
+    let u = ref 0 and i = ref 1 in
+    while !i <= !m do
+      let j = ref !i in
+      while !j < !m && key.(!j + 1) = key.(!i) do
+        incr j
+      done;
+      if (!j - !i) mod 2 = 0 then begin
+        incr u;
+        key.(!u) <- key.(!i)
+      end;
+      i := !j + 1
+    done;
     let core =
-      match remaining with
-      | [] ->
+      match !u with
+      | 0 ->
           incr folded;
           mk_const false
-      | [ f ] ->
+      | 1 ->
           incr folded;
-          f
-      | _ ->
-          cons (K_gate (Gate.Xor, remaining)) (fun () ->
-              Network.add_gate out Gate.Xor (Array.of_list remaining))
+          key.(1)
+      | u -> cons Gate.Xor u
     in
     if !invert then mk_not core else core
   in
@@ -143,15 +182,17 @@ let run_report n =
           | Network.Input -> Network.add_input ?name:nd.Network.name out
           | Network.Const b -> mk_const b
           | Network.Gate g ->
-              let fanins =
-                Array.to_list (Array.map (fun f -> map.(f)) nd.Network.fanins)
-              in
+              let fanins = nd.Network.fanins in
+              let k = Array.length fanins in
+              for i = 0 to k - 1 do
+                key.(i + 1) <- map.(fanins.(i))
+              done;
               let base, inverted = Gate.base g in
               let core =
                 match base with
-                | Gate.And | Gate.Or -> mk_andor base fanins
-                | Gate.Xor -> mk_xor fanins
-                | Gate.Buf -> (incr folded; List.hd fanins)
+                | Gate.And | Gate.Or -> mk_andor base k
+                | Gate.Xor -> mk_xor k
+                | Gate.Buf -> (incr folded; key.(1))
                 | Gate.Not | Gate.Nand | Gate.Nor | Gate.Xnor ->
                     (* Gate.base never returns these. *)
                     assert false

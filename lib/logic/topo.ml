@@ -21,8 +21,12 @@ let mark_fanin n seeds =
   List.iter (fun s -> seen.(s) <- true) seeds;
   (* A reverse pass suffices because fanins always have smaller ids. *)
   for id = count - 1 downto 0 do
-    if seen.(id) then
-      Array.iter (fun f -> seen.(f) <- true) (Network.node n id).Network.fanins
+    if seen.(id) then begin
+      let fanins = (Network.node n id).Network.fanins in
+      for i = 0 to Array.length fanins - 1 do
+        seen.(fanins.(i)) <- true
+      done
+    end
   done;
   seen
 

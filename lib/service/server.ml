@@ -588,7 +588,10 @@ let run_job t job =
       Obs.Flight.record ?id:tid ~detail "degrade"
   | Failed_ ->
       Obs.Metrics.incr m_failed;
-      Obs.Flight.record ?id:tid ~detail "fail");
+      Obs.Flight.record ?id:tid ~detail "fail";
+      (* Dump before replying, like the ledger above: a client holding
+         its failed reply can count on the first-failure dump. *)
+      flight_on_failure t);
   ignore (write_line t job.jconn line);
   let t_wend = Obs.Clock.now_ns () in
   let lat_ns = Int64.to_int (Int64.max 0L (Int64.sub t_wend job.t_enq)) in
@@ -598,7 +601,6 @@ let run_job t job =
     | Degraded_ -> m_latency_degraded
     | Failed_ -> m_latency_failed)
     lat_ns;
-  if outcome = Failed_ then flight_on_failure t;
   if Obs.Trace.enabled () then begin
     let args =
       ("id", job.req_id)

@@ -16,11 +16,17 @@ let balanced2 combine wires =
   reduce wires
 
 let to_aoi n =
-  let b = Builder.create ~name:(Network.name n) () in
+  let b = Builder.create ~name:(Network.name n) ~size:(Network.node_count n) () in
   let map = Array.make (Network.node_count n) (-1) in
   let and2 x y = Builder.and2 b x y and or2 x y = Builder.or2 b x y in
   let xor2 x y =
     or2 (and2 x (Builder.not_ b y)) (and2 (Builder.not_ b x) y)
+  in
+  let reduce combine fanins =
+    match fanins with
+    | [| x |] -> map.(x)
+    | [| x; y |] -> combine map.(x) map.(y)
+    | _ -> balanced2 combine (Array.to_list (Array.map (fun f -> map.(f)) fanins))
   in
   Network.iter_nodes
     (fun nd ->
@@ -30,16 +36,14 @@ let to_aoi n =
         | Network.Input -> Builder.input b (Network.input_name n id)
         | Network.Const c -> Builder.const b c
         | Network.Gate g ->
-            let fanins =
-              Array.to_list (Array.map (fun f -> map.(f)) nd.Network.fanins)
-            in
+            let fanins = nd.Network.fanins in
             let base, inverted = Gate.base g in
             let core =
               match base with
-              | Gate.And -> balanced2 and2 fanins
-              | Gate.Or -> balanced2 or2 fanins
-              | Gate.Xor -> balanced2 xor2 fanins
-              | Gate.Buf -> List.hd fanins
+              | Gate.And -> reduce and2 fanins
+              | Gate.Or -> reduce or2 fanins
+              | Gate.Xor -> reduce xor2 fanins
+              | Gate.Buf -> map.(fanins.(0))
               | Gate.Not | Gate.Nand | Gate.Nor | Gate.Xnor -> assert false
             in
             if inverted then Builder.not_ b core else core

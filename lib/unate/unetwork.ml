@@ -35,37 +35,75 @@ let outputs u = u.outs
 
 type builder = {
   b_nodes : node Vec.t;
-  consed : (kind * fin * fin, fin) Hashtbl.t;
+  consed : Hashcons.t;  (* [kind; fanin0; fanin1] codes -> node id *)
+  key : int array;
 }
 
-let fin_order a b = if compare a b <= 0 then (a, b) else (b, a)
+(* An injective int code of a fanin, for hash-consing keys. *)
+let fin_code = function
+  | F_node i -> 4 * i
+  | F_lit { input; positive } -> (4 * input) + if positive then 2 else 1
+  | F_const c -> if c then 7 else 3
+
+let kind_code = function U_and -> 0 | U_or -> 1
+
+let write_key key kind a b =
+  key.(0) <- kind_code kind;
+  key.(1) <- fin_code a;
+  key.(2) <- fin_code b;
+  3
+
+let new_builder n =
+  let b_nodes = Vec.create () in
+  let key_of id key =
+    let nd = Vec.get b_nodes id in
+    write_key key nd.kind nd.fanin0 nd.fanin1
+  in
+  { b_nodes; consed = Hashcons.create n ~key_of; key = Array.make 3 0 }
+
+(* Polymorphic compare's order on fins: constructor first, then
+   payload. *)
+let fin_compare a b =
+  match (a, b) with
+  | F_node i, F_node j -> Int.compare i j
+  | F_node _, (F_lit _ | F_const _) -> -1
+  | (F_lit _ | F_const _), F_node _ -> 1
+  | F_lit x, F_lit y ->
+      let c = Int.compare x.input y.input in
+      if c <> 0 then c else Bool.compare x.positive y.positive
+  | F_lit _, F_const _ -> -1
+  | F_const _, F_lit _ -> 1
+  | F_const x, F_const y -> Bool.compare x y
+
+let fin_equal a b = fin_compare a b = 0
+
+let f_true = F_const true
+let f_false = F_const false
 
 let mk bu kind a b =
   (* Local simplifications keep the unate network lean; they never create
      inverters, so unateness is preserved. *)
-  let absorbing = F_const (kind = U_or) in
-  let identity = F_const (kind <> U_or) in
+  let absorbing = if kind = U_or then f_true else f_false in
+  let identity = if kind = U_or then f_false else f_true in
   let complementary =
     match (a, b) with
     | F_lit la, F_lit lb -> la.input = lb.input && la.positive <> lb.positive
     | _ -> false
   in
-  if a = absorbing || b = absorbing then absorbing
+  if fin_equal a absorbing || fin_equal b absorbing then absorbing
   else if complementary then absorbing  (* x & ~x = 0, x | ~x = 1 *)
-  else if a = identity then b
-  else if b = identity then a
-  else if a = b then a
+  else if fin_equal a identity then b
+  else if fin_equal b identity then a
+  else if fin_equal a b then a
   else begin
-    let a, b = fin_order a b in
-    let key = (kind, a, b) in
-    match Hashtbl.find_opt bu.consed key with
-    | Some f -> f
-    | None ->
-        let id = Vec.length bu.b_nodes in
-        ignore (Vec.push bu.b_nodes { id; kind; fanin0 = a; fanin1 = b });
-        let f = F_node id in
-        Hashtbl.replace bu.consed key f;
-        f
+    let swap = fin_compare a b > 0 in
+    let a = if swap then b else a and b = if swap then a else b in
+    let len = write_key bu.key kind a b in
+    let next = Vec.length bu.b_nodes in
+    let id = Hashcons.find_or_add bu.consed bu.key len next in
+    if id = next then
+      ignore (Vec.push bu.b_nodes { id; kind; fanin0 = a; fanin1 = b });
+    F_node id
   end
 
 (* Sweep: keep only builder nodes reachable from the outputs, preserving
@@ -82,49 +120,60 @@ let sweep bu outs ~src ~input_names =
       mark nd.fanin1
     end
   done;
-  let remap = Array.make total (-1) in
-  let nodes = Vec.create () in
-  let fix = function
-    | F_node i -> F_node remap.(i)
-    | (F_lit _ | F_const _) as f -> f
-  in
-  Vec.iteri
-    (fun i nd ->
-      if live.(i) then begin
-        let id = Vec.length nodes in
-        remap.(i) <- id;
-        ignore
-          (Vec.push nodes { id; kind = nd.kind; fanin0 = fix nd.fanin0; fanin1 = fix nd.fanin1 })
-      end)
-    bu.b_nodes;
-  let outs = Array.map (fun (nm, f) -> (nm, fix f)) outs in
-  { src; input_names; nodes; outs }
+  if Array.for_all Fun.id live then { src; input_names; nodes = bu.b_nodes; outs }
+  else begin
+    let remap = Array.make total (-1) in
+    let nodes = Vec.create () in
+    let fix = function
+      | F_node i -> F_node remap.(i)
+      | (F_lit _ | F_const _) as f -> f
+    in
+    Vec.iteri
+      (fun i nd ->
+        if live.(i) then begin
+          let id = Vec.length nodes in
+          remap.(i) <- id;
+          ignore
+            (Vec.push nodes
+               { id; kind = nd.kind; fanin0 = fix nd.fanin0; fanin1 = fix nd.fanin1 })
+        end)
+      bu.b_nodes;
+    let outs = Array.map (fun (nm, f) -> (nm, fix f)) outs in
+    { src; input_names; nodes; outs }
+  end
+
+(* Marks an unexpanded slot of the expand memo (compared physically). *)
+let unset = F_node (-1)
 
 let of_network_with_phases n phases =
   let phase_of nm =
     match List.assoc_opt nm phases with Some p -> p | None -> true
   in
+  let count = Network.node_count n in
   let input_ids = Network.inputs n in
-  let input_pos = Hashtbl.create 64 in
-  Array.iteri (fun k id -> Hashtbl.replace input_pos id k) input_ids;
-  let bu = { b_nodes = Vec.create (); consed = Hashtbl.create 1024 } in
-  let memo : (int * bool, fin) Hashtbl.t = Hashtbl.create 1024 in
+  let input_pos = Array.make count (-1) in
+  Array.iteri (fun k id -> input_pos.(id) <- k) input_ids;
+  let bu = new_builder count in
+  (* Node [id] in phase [p] is slot [2 * id + (if p then 1 else 0)]. *)
+  let memo = Array.make (2 * count) unset in
   (* Expand node [id] of the source network in phase [p] ([true] =
      positive).  Recursion depth equals the network depth times a small
      constant, which is safe for the circuits we handle. *)
   let rec expand id p =
-    match Hashtbl.find_opt memo (id, p) with
-    | Some f -> f
-    | None ->
-        let nd = Network.node n id in
-        let f =
-          match nd.Network.func with
-          | Network.Input -> F_lit { input = Hashtbl.find input_pos id; positive = p }
-          | Network.Const c -> F_const (c = p)
-          | Network.Gate g -> expand_gate g nd.Network.fanins p
-        in
-        Hashtbl.replace memo (id, p) f;
-        f
+    let slot = (2 * id) + if p then 1 else 0 in
+    let f = memo.(slot) in
+    if f != unset then f
+    else begin
+      let nd = Network.node n id in
+      let f =
+        match nd.Network.func with
+        | Network.Input -> F_lit { input = input_pos.(id); positive = p }
+        | Network.Const c -> F_const (c = p)
+        | Network.Gate g -> expand_gate g nd.Network.fanins p
+      in
+      memo.(slot) <- f;
+      f
+    end
   and expand_gate g fanins p =
     let base, inverted = Gate.base g in
     let p = if inverted then not p else p in
@@ -137,44 +186,36 @@ let of_network_with_phases n phases =
           | Gate.Or, true | Gate.And, false -> U_or
           | _ -> assert false
         in
-        let rec tree = function
-          | [] -> assert false
-          | [ f ] -> expand f p
-          | fs ->
-              let half = List.length fs / 2 in
-              let rec split k acc = function
-                | rest when k = 0 -> (List.rev acc, rest)
-                | x :: rest -> split (k - 1) (x :: acc) rest
-                | [] -> (List.rev acc, [])
-              in
-              let left, right = split half [] fs in
-              mk bu kind (tree left) (tree right)
-        in
-        tree (Array.to_list fanins)
+        if Array.length fanins = 2 then
+          mk bu kind (expand fanins.(0) p) (expand fanins.(1) p)
+        else
+          (* A balanced tree over [fanins.(lo .. hi-1)], its first half
+             on the left. *)
+          let rec tree lo hi =
+            if hi - lo = 1 then expand fanins.(lo) p
+            else
+              let mid = lo + ((hi - lo) / 2) in
+              mk bu kind (tree lo mid) (tree mid hi)
+          in
+          tree 0 (Array.length fanins)
     | Gate.Xor ->
         (* Balanced parity tree expanded locally; each XOR2 needs both
            phases of both operands. *)
-        let rec xtree fs p =
-          match fs with
-          | [] -> F_const (not p)
-          | [ f ] -> expand f p
-          | fs ->
-              let half = List.length fs / 2 in
-              let rec split k acc = function
-                | rest when k = 0 -> (List.rev acc, rest)
-                | x :: rest -> split (k - 1) (x :: acc) rest
-                | [] -> (List.rev acc, [])
-              in
-              let left, right = split half [] fs in
+        let rec xtree lo hi p =
+          match hi - lo with
+          | 0 -> F_const (not p)
+          | 1 -> expand fanins.(lo) p
+          | _ ->
+              let mid = lo + ((hi - lo) / 2) in
               let xor2 a_pos a_neg b_pos b_neg =
                 mk bu U_or (mk bu U_and a_pos b_neg) (mk bu U_and a_neg b_pos)
               in
-              let lp = xtree left true and ln = xtree left false in
-              let rp = xtree right true and rn = xtree right false in
+              let lp = xtree lo mid true and ln = xtree lo mid false in
+              let rp = xtree mid hi true and rn = xtree mid hi false in
               if p then xor2 lp ln rp rn
               else mk bu U_or (mk bu U_and lp rp) (mk bu U_and ln rn)
         in
-        xtree (Array.to_list fanins) p
+        xtree 0 (Array.length fanins) p
     | Gate.Not | Gate.Nand | Gate.Nor | Gate.Xnor -> assert false
   in
   let outs =
@@ -188,7 +229,7 @@ let of_network_with_phases n phases =
 (* ------------------------------------------------------------------ *)
 
 let with_structure u ~nodes ~outputs =
-  let bu = { b_nodes = Vec.create (); consed = Hashtbl.create 64 } in
+  let bu = new_builder (Array.length nodes) in
   let mapped = Array.make (Array.length nodes) (F_const false) in
   let fix = function
     | F_node i -> mapped.(i)
@@ -205,7 +246,11 @@ let with_structure u ~nodes ~outputs =
 (* ------------------------------------------------------------------ *)
 
 let to_network u =
-  let b = Builder.create ~name:(u.src ^ "_unate") () in
+  let b =
+    Builder.create ~name:(u.src ^ "_unate")
+      ~size:(Vec.length u.nodes + Array.length u.input_names)
+      ()
+  in
   let ins = Array.map (fun nm -> Builder.input b nm) u.input_names in
   let wire_of_fin values = function
     | F_const c -> Builder.const b c

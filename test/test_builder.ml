@@ -78,8 +78,36 @@ let test_empty_gates () =
     true
     (Builder.xor_ b [] = Builder.const b false)
 
+(* The hash-consing table against a reference [Hashtbl]: keys of every
+   length from 1 to 5, most of them repeated, through growth from a tiny
+   initial size.  The first value bound to a key sticks. *)
+let test_hashcons_table () =
+  let keys = Hashtbl.create 64 in
+  let key_of v buf =
+    let k = Hashtbl.find keys v in
+    List.iteri (fun i x -> buf.(i) <- x) k;
+    List.length k
+  in
+  let t = Logic.Hashcons.create 1 ~key_of in
+  let reference = Hashtbl.create 64 in
+  let rng = Logic.Rng.create 7 in
+  let key = Array.make 5 0 in
+  for v = 0 to 20_000 do
+    let len = Logic.Rng.int_in rng 1 5 in
+    for i = 0 to len - 1 do
+      key.(i) <- Logic.Rng.int rng 12 - 2
+    done;
+    let k = Array.to_list (Array.sub key 0 len) in
+    let want = match Hashtbl.find_opt reference k with Some w -> w | None -> v in
+    Hashtbl.replace reference k want;
+    Hashtbl.replace keys want k;
+    Alcotest.(check int) "bound value" want (Logic.Hashcons.find_or_add t key len v)
+  done;
+  Alcotest.(check int) "distinct keys" (Hashtbl.length reference) (Logic.Hashcons.length t)
+
 let suite =
   [
+    Alcotest.test_case "hashcons table" `Quick test_hashcons_table;
     Alcotest.test_case "hash consing" `Quick test_hash_consing;
     Alcotest.test_case "constant folding" `Quick test_const_folding;
     Alcotest.test_case "idempotence" `Quick test_idempotence;

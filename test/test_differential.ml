@@ -34,7 +34,7 @@ let prop_oracle_passes =
       let rng = Logic.Rng.create seed in
       match Fuzz.gen_unetwork rng 400 with
       | None, _ -> QCheck2.assume_fail ()
-      | Some (u, _), _ -> (
+      | Some (u, _, _), _ -> (
           let cfg = Gen_config.sample rng in
           match Oracle.check ~eval_vectors:512 ~sim_pairs:8 ~seed u cfg with
           | Oracle.Pass _ -> true
@@ -81,6 +81,45 @@ let test_suite_agreement () =
         [ Mapper.Engine.Bulk; Mapper.Engine.Soi ])
     Gen.Suite.all
 
+(* ---------------- the front end ---------------- *)
+
+(* The fuzzer's front-end oracle over 300 random networks and every suite
+   and extras entry: the prepared unate network computes its source, and
+   the source survives a BLIF round trip.  The BLIF writer rejects the
+   wide XOR covers of c499, c1355 and c1908, so those round-trip as
+   their unate networks. *)
+let test_frontend () =
+  let expect_none name = function
+    | None -> ()
+    | Some f -> Alcotest.failf "%s: %s" name f.Oracle.detail
+  in
+  let rng = Logic.Rng.create 18 in
+  for i = 1 to 300 do
+    let seed = Logic.Rng.int rng 1_000_000 in
+    let net =
+      Gen.Random_logic.generate
+        (Gen.Random_logic.default ~name:(Printf.sprintf "fe%d" i)
+           ~inputs:(Logic.Rng.int_in rng 2 10) ~gates:(Logic.Rng.int_in rng 1 60)
+           ~outputs:(Logic.Rng.int_in rng 1 5) ~seed)
+    in
+    expect_none (Logic.Network.name net)
+      (Oracle.check_frontend ~net_seed:seed net (Mapper.Algorithms.prepare net))
+  done;
+  let limit = 100_000 in
+  List.iter
+    (fun e ->
+      let name = e.Gen.Suite.name in
+      let net = e.Gen.Suite.build () in
+      let u = Mapper.Algorithms.prepare net in
+      expect_none name (Oracle.check_prepare ~limit ~net_seed:0 net u);
+      let blif_net =
+        if List.mem name [ "c499"; "c1355"; "c1908" ] then
+          Unate.Unetwork.to_network u
+        else net
+      in
+      expect_none name (Oracle.check_roundtrip ~limit ~net_seed:0 blif_net))
+    (Gen.Suite.all @ Gen.Suite.extras)
+
 (* A small benchmark swept across the whole deterministic configuration
    grid, through all three oracles. *)
 let test_grid_configs () =
@@ -108,7 +147,7 @@ let test_stripped_discharges_expose_pbe () =
     let rng = Logic.Rng.create (seed * 7919) in
     match Fuzz.gen_unetwork rng 400 with
     | None, _ -> ()
-    | Some (u, _), _ ->
+    | Some (u, _, _), _ ->
         let cfg =
           { Gen_config.default with Gen_config.rearrange = false }
         in
@@ -137,7 +176,7 @@ let test_shrink_reaches_minimum () =
   let rng = Logic.Rng.create 99 in
   match Fuzz.gen_unetwork rng 400 with
   | None, _ -> Alcotest.fail "generator produced nothing"
-  | Some (u, _), _ ->
+  | Some (u, _, _), _ ->
       Alcotest.(check bool) "generator produced >= 3 nodes" true
         (Unate.Unetwork.node_count u >= 3);
       let fails u' _ = Unate.Unetwork.node_count u' >= 3 in
@@ -150,7 +189,7 @@ let test_shrink_simplifies_config () =
   let rng = Logic.Rng.create 4242 in
   match Fuzz.gen_unetwork rng 400 with
   | None, _ -> Alcotest.fail "generator produced nothing"
-  | Some (u, _), _ ->
+  | Some (u, _, _), _ ->
       (* A predicate independent of the configuration: shrinking must
          drive every option to its simplest value. *)
       let fails u' _ = Unate.Unetwork.node_count u' >= 1 in
@@ -186,7 +225,7 @@ let test_with_structure_renormalises () =
   let rng = Logic.Rng.create 7 in
   match Fuzz.gen_unetwork rng 400 with
   | None, _ -> Alcotest.fail "generator produced nothing"
-  | Some (u, _), _ ->
+  | Some (u, _, _), _ ->
       let open Unate in
       let nodes =
         Array.init (Unetwork.node_count u) (Unetwork.node u)
@@ -236,7 +275,7 @@ let test_dump_roundtrip_readable () =
   let rng = Logic.Rng.create 11 in
   match Fuzz.gen_unetwork rng 400 with
   | None, _ -> Alcotest.fail "generator produced nothing"
-  | Some (u, _), _ ->
+  | Some (u, _, _), _ ->
       let dump = Report.dump_unetwork u in
       Alcotest.(check bool) "has inputs line" true
         (String.length dump > 7 && String.sub dump 0 7 = "inputs ");
@@ -258,6 +297,7 @@ let suite =
     Alcotest.test_case "full suite agreement (bulk+soi)" `Slow
       test_suite_agreement;
     Alcotest.test_case "z4ml across the config grid" `Slow test_grid_configs;
+    Alcotest.test_case "front end against its source" `Slow test_frontend;
     Alcotest.test_case "stripped discharges expose PBE" `Slow
       test_stripped_discharges_expose_pbe;
     Alcotest.test_case "shrinker reaches minimum" `Quick

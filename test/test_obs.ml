@@ -63,6 +63,31 @@ let test_json_errors () =
       | Error _ -> ())
     [ ""; "{"; "[1,"; "tru"; "\"open"; "{\"a\" 1}"; "1 2"; "{,}"; "[1 2]" ]
 
+(* A request frame is mostly one long string.  Decoding copies each run
+   of plain bytes into the result once: a 200 KB string with escapes at
+   both ends decodes exactly and allocates at most half a word per byte,
+   counting the major heap, where large strings go. *)
+let test_json_long_string () =
+  let body = String.init 200_000 (fun i -> Char.chr (Char.code 'a' + (i mod 26))) in
+  let doc = "\"\\n\\u00e9\\\"" ^ body ^ "\\t\\\\\\u0041\"" in
+  let want = "\n\xc3\xa9\"" ^ body ^ "\t\\A" in
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = allocated () in
+  let got = Obs.Json.parse doc in
+  let words = allocated () -. w0 in
+  (match got with
+  | Ok (Obs.Json.Str s) ->
+      Alcotest.(check int) "decoded length" (String.length want) (String.length s);
+      Alcotest.(check bool) "decoded bytes" true (String.equal want s)
+  | Ok _ -> Alcotest.fail "not a string"
+  | Error e -> Alcotest.fail e);
+  let per_byte = words /. float_of_int (String.length doc) in
+  if per_byte > 0.5 then
+    Alcotest.failf "decoding allocated %.2f words per byte (at most 0.5)" per_byte
+
 let test_json_roundtrip_report () =
   (* The reader must accept what the repo's own emitters produce. *)
   let r =
@@ -657,6 +682,7 @@ let suite =
   [
     Alcotest.test_case "json values" `Quick test_json_values;
     Alcotest.test_case "json errors" `Quick test_json_errors;
+    Alcotest.test_case "json long string" `Quick test_json_long_string;
     Alcotest.test_case "json reads fuzz report" `Quick test_json_roundtrip_report;
     Alcotest.test_case "metrics disabled path" `Quick test_metrics_disabled_free;
     Alcotest.test_case "metrics aggregation" `Quick test_metrics_aggregation;
