@@ -361,20 +361,6 @@ let benchmark tests =
 (* JSON telemetry.                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Pair every ..._serial... bench with its ..._pool... twin, and every
    ..._cold... bench with its ..._warm... twin (the memo benches).  In
    a pair's JSON row, "serial_ns" is the baseline (serial / cold) and
@@ -416,12 +402,12 @@ let write_json path ~jobs rows =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf
     (Printf.sprintf "{\n  \"rev\": \"%s\",\n  \"jobs\": %d,\n  \"benches\": [\n"
-       (json_escape rev) jobs);
+       (Obs.Json.escape rev) jobs);
   List.iteri
     (fun i (name, ns) ->
       Buffer.add_string buf
         (Printf.sprintf "    {\"name\": \"%s\", \"ns_per_run\": %.2f}%s\n"
-           (json_escape name) ns
+           (Obs.Json.escape name) ns
            (if i = List.length rows - 1 then "" else ",")))
     rows;
   Buffer.add_string buf "  ],\n  \"speedups\": [\n";
@@ -432,7 +418,7 @@ let write_json path ~jobs rows =
         (Printf.sprintf
            "    {\"name\": \"%s\", \"serial_ns\": %.2f, \"pool_ns\": %.2f, \
             \"speedup\": %.3f}%s\n"
-           (json_escape name) serial_ns pool_ns speedup
+           (Obs.Json.escape name) serial_ns pool_ns speedup
            (if i = List.length sp - 1 then "" else ",")))
     sp;
   (* GC totals for the whole harness run and the metrics registry
@@ -444,7 +430,7 @@ let write_json path ~jobs rows =
   List.iteri
     (fun i (name, v) ->
       Buffer.add_string buf
-        (Printf.sprintf "    \"%s\": %.0f%s\n" (json_escape name) v
+        (Printf.sprintf "    \"%s\": %.0f%s\n" (Obs.Json.escape name) v
            (if i = List.length gc - 1 then "" else ",")))
     gc;
   Buffer.add_string buf "  },\n  \"metrics\": {\n";
@@ -452,7 +438,7 @@ let write_json path ~jobs rows =
   List.iteri
     (fun i (name, v) ->
       Buffer.add_string buf
-        (Printf.sprintf "    \"%s\": %d%s\n" (json_escape name) v
+        (Printf.sprintf "    \"%s\": %d%s\n" (Obs.Json.escape name) v
            (if i = List.length ms - 1 then "" else ",")))
     ms;
   Buffer.add_string buf "  }\n}\n";

@@ -21,16 +21,9 @@ open Mapper
 let build_any name =
   match Gen.Suite.find name with
   | Some e -> e.Gen.Suite.build ()
-  | None -> (
-      match
-        List.find_opt
-          (fun (e : Gen.Suite.entry) -> e.Gen.Suite.name = name)
-          Gen.Suite.extras
-      with
-      | Some e -> e.Gen.Suite.build ()
-      | None ->
-          Printf.eprintf "gaptable: unknown benchmark %s\n" name;
-          exit 2)
+  | None ->
+      Printf.eprintf "gaptable: unknown benchmark %s\n" name;
+      exit 2
 
 type row = {
   r_name : string;
@@ -42,14 +35,12 @@ type row = {
   r_chosen : string;
 }
 
+let options = Algorithms.options_of Algorithms.Soi_domino_map
+
 let cost_of (r : Algorithms.result) =
-  Restructure.circuit_cost Cost.area r.Algorithms.counts
+  Restructure.circuit_cost options.Engine.cost r.Algorithms.counts
 
 let gaps_of (r : Algorithms.result) =
-  let options =
-    Algorithms.options_of ~cost:Cost.area ~w_max:5 ~h_max:8 ~both_orders:true
-      ~grounded_at_foot:true ~pareto_width:1 Algorithms.Soi_domino_map
-  in
   let memo_salt =
     match r.Algorithms.rewrite with
     | Some i -> i.Restructure.salt
@@ -59,9 +50,9 @@ let gaps_of (r : Algorithms.result) =
   (s.Opt.Certify.cones, s.Opt.Certify.gaps)
 
 let row ~rewrite name =
-  let net = build_any name in
-  let off = Algorithms.run Algorithms.Soi_domino_map net in
-  let on = Algorithms.run ~rewrite Algorithms.Soi_domino_map net in
+  let u = Algorithms.prepare (build_any name) in
+  let off = Algorithms.map Algorithms.Soi_domino_map u in
+  let on = Algorithms.map ~rewrite Algorithms.Soi_domino_map u in
   let cones, gaps_off = gaps_of off in
   let _, gaps_on = gaps_of on in
   {

@@ -25,11 +25,7 @@ let main list_them bench dot out =
       prerr_endline "--bench NAME is required (or --list)";
       exit 2
   | Some name -> (
-      match
-        (match Gen.Suite.find name with
-        | Some e -> Some e
-        | None -> List.find_opt (fun e -> e.Gen.Suite.name = name) Gen.Suite.extras)
-      with
+      match Gen.Suite.find name with
       | None ->
           prerr_endline ("unknown benchmark: " ^ name);
           exit 2

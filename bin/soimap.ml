@@ -8,72 +8,48 @@
 
 open Cmdliner
 
-let load blif bench_file pla bench =
-  (* Malformed input is a user error, not a crash: report it as
-     file:line: message and exit 2, the same status as the other
-     usage errors below. *)
-  let parse path parser =
-    try parser path with
-    | Blif.Parse_error (line, msg)
-    | Bench_format.Parse_error (line, msg)
-    | Pla.Parse_error (line, msg) ->
-        Printf.eprintf "%s:%d: %s\n" path line msg;
-        exit 2
-    | Sys_error msg ->
-        prerr_endline msg;
-        exit 2
+(* The flag that names the input decides its format.  --remap BASE
+   names the pre-edit circuit through the same channel (a BLIF path
+   under --blif, a suite name under --bench, ...), so the two networks
+   always load the same way. *)
+let channel blif bench_file pla bench =
+  match (blif, bench_file, pla, bench) with
+  | Some path, None, None, None -> (Service.Protocol.Blif, path)
+  | None, Some path, None, None -> (Service.Protocol.Bench_fmt, path)
+  | None, None, Some path, None -> (Service.Protocol.Pla, path)
+  | None, None, None, Some name -> (Service.Protocol.Suite, name)
+  | _ ->
+      prerr_endline
+        "exactly one of --blif, --bench-file, --pla or --bench is required";
+      exit 2
+
+(* Malformed input is a user error, not a crash: report it as
+   file:line: message and exit 2, the same status as the other usage
+   errors below. *)
+let load format source =
+  let text =
+    match format with
+    | Service.Protocol.Suite -> source
+    | _ -> (
+        try In_channel.with_open_text source In_channel.input_all
+        with Sys_error msg ->
+          prerr_endline msg;
+          exit 2)
   in
-  match (blif, bench_file, pla, bench) with
-  | Some path, None, None, None -> parse path Blif.parse_file
-  | None, Some path, None, None -> parse path Bench_format.parse_file
-  | None, None, Some path, None ->
-      parse path (fun p -> Pla.to_network (Pla.parse_file p))
-  | None, None, None, Some name -> (
-      (* The main suite first, then the extras (fig3, cla16, ...), so
-         every circuit the golden corpus can build is addressable here. *)
-      let in_extras () =
-        List.find_opt (fun e -> e.Gen.Suite.name = name) Gen.Suite.extras
-      in
-      match (Gen.Suite.find name, in_extras ()) with
-      | Some e, _ | None, Some e -> e.Gen.Suite.build ()
-      | None, None ->
-          prerr_endline
-            ("unknown benchmark: " ^ name ^ " (known: "
-            ^ String.concat ", "
-                (List.map
-                   (fun e -> e.Gen.Suite.name)
-                   (Gen.Suite.all @ Gen.Suite.extras))
-            ^ ")");
-          exit 2)
-  | _ ->
-      prerr_endline
-        "exactly one of --blif, --bench-file, --pla or --bench is required";
+  match Service.Protocol.load format text with
+  | Ok net -> net
+  | Error (Service.Protocol.Malformed (line, msg)) ->
+      Printf.eprintf "%s:%d: %s\n" source line msg;
       exit 2
-
-(* --remap BASE names the pre-edit circuit through the same channel as
-   the main input (a BLIF path under --blif, a suite name under --bench,
-   ...), so the two networks always parse the same way. *)
-let load_base blif bench_file pla bench base =
-  match (blif, bench_file, pla, bench) with
-  | Some _, None, None, None -> load (Some base) None None None
-  | None, Some _, None, None -> load None (Some base) None None
-  | None, None, Some _, None -> load None None (Some base) None
-  | None, None, None, Some _ -> load None None None (Some base)
-  | _ ->
+  | Error (Service.Protocol.Unknown_benchmark name) ->
       prerr_endline
-        "exactly one of --blif, --bench-file, --pla or --bench is required";
+        ("unknown benchmark: " ^ name ^ " (known: "
+        ^ String.concat ", "
+            (List.map
+               (fun e -> e.Gen.Suite.name)
+               (Gen.Suite.all @ Gen.Suite.extras))
+        ^ ")");
       exit 2
-
-let cost_of = function
-  | "area" -> Mapper.Cost.area
-  | "depth" -> Mapper.Cost.depth_soi
-  | "depth-bulk" -> Mapper.Cost.depth_bulk
-  | s -> (
-      match int_of_string_opt s with
-      | Some k when k >= 1 -> Mapper.Cost.clock_weighted k
-      | _ ->
-          prerr_endline ("unknown cost model: " ^ s ^ " (area|depth|depth-bulk|<k>)");
-          exit 2)
 
 (* Exit codes: 0 success (including Degraded under --on-exhaust degrade,
    and a clean --serve drain on SIGTERM/SIGINT), 1 verification failure,
@@ -118,22 +94,15 @@ let print_stats_text () =
     |> List.iter (fun l -> if l <> "" then Printf.printf "  %s\n" l)
   end
 
-let json_escape s =
-  String.concat ""
-    (List.map
-       (function
-         | '"' -> "\\\""
-         | '\\' -> "\\\\"
-         | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
-         | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
-
 let print_stats_json () =
   let stable, sched = stats_sections () in
   let obj rows render =
     "{"
     ^ String.concat ", "
-        (List.map (fun (n, v) -> Printf.sprintf "\"%s\": %s" (json_escape n) (render v)) rows)
+        (List.map
+           (fun (n, v) ->
+             Printf.sprintf "\"%s\": %s" (Obs.Json.escape n) (render v))
+           rows)
     ^ "}"
   in
   let spans =
@@ -144,7 +113,7 @@ let print_stats_json () =
              Printf.sprintf
                "{\"name\": \"%s\", \"count\": %d, \"total_ns\": %Ld, \
                 \"max_ns\": %Ld}"
-               (json_escape name) count total_ns max_ns)
+               (Obs.Json.escape name) count total_ns max_ns)
            (Obs.Trace.summary ()))
     ^ "]"
   in
@@ -399,30 +368,6 @@ let serve_main addr_str queue_depth max_conns dispatchers io_timeout
       finish ();
       exit 0
 
-(* --remap BASE: warm-map the base circuit, then remap the (edited) main
-   input against the warm memo.  Memo exact-transparency makes the
-   result byte-identical to a plain map of the main input, so stdout
-   stays diffable against a non-remap run; the dirty/clean accounting
-   joins the rest of the cache chatter on stderr. *)
-let remap_outcome ~budget ?memo ~cost ~w_max ~h_max f ~base net =
-  try
-    let u1 = Mapper.Algorithms.prepare net in
-    let u0 = Mapper.Algorithms.prepare base in
-    let options =
-      Mapper.Algorithms.options_of ~cost ~w_max ~h_max ~both_orders:true
-        ~grounded_at_foot:true ~pareto_width:1 f
-    in
-    let st, _ = Mapper.Engine.remap_init ~budget ?memo options u0 in
-    let circuit, stats, info = Mapper.Engine.remap ~budget st u1 in
-    Printf.eprintf
-      "soimap: remap [%s]: %d dirty / %d clean cones, %d warm hits, %d misses\n\
-       %!"
-      (Mapper.Algorithms.flow_name f)
-      info.Mapper.Engine.dirty_cones info.Mapper.Engine.clean_cones
-      info.Mapper.Engine.memo_hits info.Mapper.Engine.memo_misses;
-    Resilience.Outcome.Ok (Mapper.Algorithms.finish f u1 circuit stats)
-  with Resilience.Budget.Exhausted reason -> Resilience.Outcome.Failed reason
-
 let main jobs blif bench_file pla bench flow cost w_max h_max rewrite remap_base
     verify
     exact certify certify_max_cone certify_expansions prune exhaustive_limit
@@ -522,18 +467,9 @@ let main jobs blif bench_file pla bench flow cost w_max h_max rewrite remap_base
          exit 130));
   Parallel.Pool.set_jobs jobs;
   let memo, save_cache = open_cache cache in
-  let net =
-    Obs.Trace.with_span ~cat:"cli" "cli.load" (fun () ->
-        load blif bench_file pla bench)
-  in
-  let base_net =
-    match remap_base with
-    | None -> None
-    | Some b ->
-        Some
-          (Obs.Trace.with_span ~cat:"cli" "cli.load_base" (fun () ->
-               load_base blif bench_file pla bench b))
-  in
+  let format, source = channel blif bench_file pla bench in
+  let net = load format source in
+  let base_net = Option.map (load format) remap_base in
   if multi then begin
     print_string
       (Mapper.Multi.render (Mapper.Multi.sweep ?memo ~w_max ~h_max ~rewrite net));
@@ -542,13 +478,22 @@ let main jobs blif bench_file pla bench flow cost w_max h_max rewrite remap_base
     exit 0
   end;
   let name = Logic.Network.name net in
-  let cost = cost_of cost in
+  let cost =
+    Option.map
+      (fun s ->
+        match Service.Protocol.cost_of_string s with
+        | Ok c -> c
+        | Error msg ->
+            prerr_endline msg;
+            exit 2)
+      cost
+  in
   let on_exhaust =
-    match on_exhaust with
-    | "fail" -> `Fail
-    | "degrade" -> `Degrade
-    | s ->
-        prerr_endline ("unknown --on-exhaust policy: " ^ s ^ " (fail|degrade)");
+    match Service.Protocol.on_exhaust_of_string on_exhaust with
+    | Ok policy -> policy
+    | Error _ ->
+        prerr_endline
+          ("unknown --on-exhaust policy: " ^ on_exhaust ^ " (fail|degrade)");
         exit 2
   in
   let budget () =
@@ -558,16 +503,20 @@ let main jobs blif bench_file pla bench flow cost w_max h_max rewrite remap_base
   in
   let flows =
     match flow with
-    | "bulk" -> [ Mapper.Algorithms.Domino_map ]
-    | "rs" -> [ Mapper.Algorithms.Rs_map ]
-    | "soi" -> [ Mapper.Algorithms.Soi_domino_map ]
     | "all" ->
         [ Mapper.Algorithms.Domino_map; Mapper.Algorithms.Rs_map;
           Mapper.Algorithms.Soi_domino_map ]
-    | s ->
-        prerr_endline ("unknown flow: " ^ s ^ " (bulk|rs|soi|all)");
-        exit 2
+    | s -> (
+        match Service.Protocol.flow_of_string s with
+        | Ok f -> [ f ]
+        | Error _ ->
+            prerr_endline ("unknown flow: " ^ s ^ " (bulk|rs|soi|all)");
+            exit 2)
   in
+  (* Every flow maps the same prepared network (and remaps against the
+     same prepared base). *)
+  let u = Mapper.Algorithms.prepare net in
+  let base_u = Option.map Mapper.Algorithms.prepare base_net in
   let all_ok = ref true in
   let exhausted = ref false in
   let suboptimal = ref false in
@@ -577,13 +526,14 @@ let main jobs blif bench_file pla bench flow cost w_max h_max rewrite remap_base
         Obs.Trace.with_span ~cat:"cli" "cli.flow"
           ~args:(fun () -> [ ("flow", Mapper.Algorithms.flow_name f) ])
           (fun () ->
-            match base_net with
+            match base_u with
             | None ->
-                Mapper.Algorithms.run_outcome ~budget:(budget ()) ?memo
-                  ~on_exhaust ~cost ~w_max ~h_max ~rewrite f net
-            | Some base ->
-                remap_outcome ~budget:(budget ()) ?memo ~cost ~w_max ~h_max f
-                  ~base net)
+                Mapper.Algorithms.map_outcome ~budget:(budget ()) ?memo
+                  ~on_exhaust ?cost ~w_max ~h_max ~rewrite f u
+            | Some u0 ->
+                Mapper.Algorithms.remap ~budget:(budget ()) ~on_exhaust
+                  (Mapper.Algorithms.base ?memo ?cost ~w_max ~h_max f u0)
+                  u)
       with
       | Resilience.Outcome.Failed reason ->
           (* --on-exhaust fail: report the flow and keep going, as with
@@ -593,6 +543,19 @@ let main jobs blif bench_file pla bench flow cost w_max h_max rewrite remap_base
             (Resilience.Budget.reason_to_string reason);
           exhausted := true
       | (Resilience.Outcome.Ok r | Resilience.Outcome.Degraded (r, _)) as o ->
+          (* The remap's dirty/clean accounting joins the cache chatter
+             on stderr, so stdout stays byte-identical to a plain map of
+             the main input. *)
+          Option.iter
+            (fun (i : Mapper.Engine.remap_info) ->
+              Printf.eprintf
+                "soimap: remap [%s]: %d dirty / %d clean cones, %d warm \
+                 hits, %d misses\n\
+                 %!"
+                (Mapper.Algorithms.flow_name f)
+                i.Mapper.Engine.dirty_cones i.Mapper.Engine.clean_cones
+                i.Mapper.Engine.memo_hits i.Mapper.Engine.memo_misses)
+            r.Mapper.Algorithms.remap;
           if
             not
               (report name (Mapper.Algorithms.flow_name f) r
@@ -605,10 +568,7 @@ let main jobs blif bench_file pla bench flow cost w_max h_max rewrite remap_base
                fits the budget to proven optimality.  A proven gap flips
                the exit status to 4; bounded/skipped cones are counted,
                never silent. *)
-            let options =
-              Mapper.Algorithms.options_of ~cost ~w_max ~h_max
-                ~both_orders:true ~grounded_at_foot:true ~pareto_width:1 f
-            in
+            let options = Mapper.Algorithms.options_of ?cost ~w_max ~h_max f in
             let memo_salt =
               match r.Mapper.Algorithms.rewrite with
               | Some i -> i.Mapper.Restructure.salt
@@ -782,15 +742,18 @@ let cmd =
            ~doc:"Mapping flow: bulk, rs, soi, or all.")
   in
   let cost =
-    Arg.(value & opt string "area" & info [ "cost" ] ~docv:"COST"
+    Arg.(value & opt (some string) None & info [ "cost" ] ~docv:"COST"
+           ~absent:"area"
            ~doc:"Cost model: area, depth, depth-bulk, or an integer k for \
                  clock-weighted mapping.")
   in
   let w_max =
-    Arg.(value & opt int 5 & info [ "w-max" ] ~docv:"W" ~doc:"Maximum PDN width.")
+    Arg.(value & opt int Mapper.Engine.default_options.Mapper.Engine.w_max
+         & info [ "w-max" ] ~docv:"W" ~doc:"Maximum PDN width.")
   in
   let h_max =
-    Arg.(value & opt int 8 & info [ "h-max" ] ~docv:"H" ~doc:"Maximum PDN height.")
+    Arg.(value & opt int Mapper.Engine.default_options.Mapper.Engine.h_max
+         & info [ "h-max" ] ~docv:"H" ~doc:"Maximum PDN height.")
   in
   let rewrite =
     Arg.(value & opt ~vopt:(Some 8) (some int) None
@@ -817,7 +780,7 @@ let cmd =
                    to a plain map of the main input; the dirty/clean \
                    accounting goes to stderr.  Incompatible with \
                    $(b,--rewrite) and $(b,--multi); a tripped budget \
-                   fails (there is no degraded remap).")
+                   follows $(b,--on-exhaust) as a plain map does.")
   in
   let verify =
     Arg.(value & flag & info [ "verify" ]

@@ -116,13 +116,6 @@ let parse_string text =
     stmts;
   Logic.Builder.network b
 
-let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse_string text
-
 let to_string n =
   let buf = Buffer.create 4096 in
   let names = Array.make (Logic.Network.node_count n) "" in

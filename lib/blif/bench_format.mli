@@ -22,9 +22,6 @@ val parse_string : string -> Logic.Network.t
 (** [parse_string text] parses a [.bench] description.
     @raise Parse_error on malformed input. *)
 
-val parse_file : string -> Logic.Network.t
-(** [parse_file path] reads and parses [path]. *)
-
 val to_string : Logic.Network.t -> string
 (** [to_string n] renders the network in [.bench] syntax. *)
 

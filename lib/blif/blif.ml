@@ -431,13 +431,6 @@ let parse_string text =
   scan m;
   build m
 
-let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse_string text
-
 (* ------------------------------------------------------------------ *)
 (* Writing.                                                            *)
 (* ------------------------------------------------------------------ *)

@@ -20,11 +20,6 @@ val parse_string : string -> Logic.Network.t
 (** [parse_string text] parses the first [.model] in [text].
     @raise Parse_error on malformed input. *)
 
-val parse_file : string -> Logic.Network.t
-(** [parse_file path] reads and parses [path].
-    @raise Parse_error on malformed input
-    @raise Sys_error if the file cannot be read. *)
-
 val to_string : Logic.Network.t -> string
 (** [to_string n] renders the network as BLIF.  Every gate node becomes a
     [.names] block with the natural cover of its function (AND/OR/NOT

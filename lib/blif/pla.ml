@@ -68,13 +68,6 @@ let parse_string text =
   in
   { inputs = input_names; outputs }
 
-let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse_string text
-
 let to_string p =
   let ni = Array.length p.inputs and no = Array.length p.outputs in
   let buf = Buffer.create 2048 in

@@ -26,8 +26,6 @@ type t = {
 val parse_string : string -> t
 (** @raise Parse_error on malformed input. *)
 
-val parse_file : string -> t
-
 val to_string : t -> string
 (** Renders with [.i/.o/.ilb/.ob/.p/.e]; cubes of the different outputs
     are merged line-wise where identical. *)

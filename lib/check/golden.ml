@@ -27,27 +27,21 @@ let suite_entry name =
       (fun () -> run_flow Algorithms.Soi_domino_map (Gen.Suite.build_exn name));
   }
 
-(* Suite benchmarks are looked up in [Suite.all] and [Suite.extras]. *)
-let build_any name =
-  match Gen.Suite.find name with
-  | Some e -> e.Gen.Suite.build ()
-  | None -> (
-      match List.find_opt (fun e -> e.Gen.Suite.name = name) Gen.Suite.extras with
-      | Some e -> e.Gen.Suite.build ()
-      | None -> raise Not_found)
-
 let extra_entry name =
   {
     name;
     what = Printf.sprintf "SOI_Domino_Map on generated circuit %s" name;
-    render = (fun () -> run_flow Algorithms.Soi_domino_map (build_any name));
+    render =
+      (fun () ->
+        run_flow Algorithms.Soi_domino_map (Gen.Suite.build_exn name));
   }
 
 (* Exact-optimality certification pins.  The render is [Opt.Certify]'s
    status-per-cone text (no expansion counts), so the pin captures the
    proved/gap/bounded/skipped verdicts under default budgets — any DP or
    backend change that moves a verdict shows up as a golden diff. *)
-let certify_entry ?(w_max = 5) ?(h_max = 8) ~bench flow tag =
+let certify_entry ?(w_max = Engine.default_options.Engine.w_max)
+    ?(h_max = Engine.default_options.Engine.h_max) ~bench flow tag =
   {
     name = Printf.sprintf "certify_%s" tag;
     what =
@@ -55,11 +49,8 @@ let certify_entry ?(w_max = 5) ?(h_max = 8) ~bench flow tag =
         (Algorithms.flow_name flow) bench w_max h_max;
     render =
       (fun () ->
-        let r = Algorithms.run ~w_max ~h_max flow (build_any bench) in
-        let options =
-          Algorithms.options_of ~cost:Mapper.Cost.area ~w_max ~h_max
-            ~both_orders:true ~grounded_at_foot:true ~pareto_width:1 flow
-        in
+        let r = Algorithms.run ~w_max ~h_max flow (Gen.Suite.build_exn bench) in
+        let options = Algorithms.options_of ~w_max ~h_max flow in
         Opt.Certify.render (Opt.Certify.certify ~options r.Algorithms.unate));
   }
 
@@ -77,7 +68,8 @@ let rewrite_entry ~bench tag =
     render =
       (fun () ->
         let r =
-          Algorithms.run ~rewrite:8 Algorithms.Soi_domino_map (build_any bench)
+          Algorithms.run ~rewrite:8 Algorithms.Soi_domino_map
+            (Gen.Suite.build_exn bench)
         in
         let header =
           match r.Algorithms.rewrite with
@@ -116,7 +108,7 @@ let corpus =
       render =
         (fun () ->
           run_flow ~w_max:4 ~h_max:4 Algorithms.Soi_domino_map
-            (build_any "fig3"));
+            (Gen.Suite.build_exn "fig3"));
     };
     certify_entry ~w_max:4 ~h_max:4 ~bench:"fig3" Algorithms.Soi_domino_map
       "fig3";
@@ -145,11 +137,12 @@ let corpus =
       "SOI_Domino_Map on the BLIF of seed-42 edited, prepared c880"
       (fun () ->
         Unate.Unetwork.to_network
-          (Edit.apply ~seed:42 (Algorithms.prepare (build_any "c880"))));
+          (Edit.apply ~seed:42
+             (Algorithms.prepare (Gen.Suite.build_exn "c880"))));
     (* OR covers of up to 27 cubes, and NOT covers. *)
     blif_entry "blif_c432"
       "SOI_Domino_Map on the raw generator c432 through BLIF"
-      (fun () -> build_any "c432");
+      (fun () -> Gen.Suite.build_exn "c432");
   ]
 
 let find name = List.find_opt (fun e -> e.name = name) corpus

@@ -104,11 +104,6 @@ let all =
     };
   ]
 
-let find name = List.find_opt (fun e -> e.name = name) all
-
-let build_exn name =
-  match find name with Some e -> e.build () | None -> raise Not_found
-
 let table1_names =
   [
     "cm150"; "mux"; "z4ml"; "cordic"; "frg1"; "b9"; "apex7"; "c432"; "c880";
@@ -187,6 +182,16 @@ let extras =
       build = (fun () -> Circuits.decoder 5);
     };
   ]
+
+(* The paper's suite first, then the extras: every circuit is
+   addressable by one name. *)
+let find name =
+  match List.find_opt (fun e -> e.name = name) all with
+  | Some _ as e -> e
+  | None -> List.find_opt (fun e -> e.name = name) extras
+
+let build_exn name =
+  match find name with Some e -> e.build () | None -> raise Not_found
 
 (* Parameters of the seeded random stand-ins, kept alongside [all] so the
    seed-sensitivity study can rebuild them with shifted seeds. *)

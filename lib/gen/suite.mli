@@ -16,10 +16,11 @@ val all : entry list
 (** Every benchmark, in rough size order. *)
 
 val find : string -> entry option
-(** [find name] looks a benchmark up by name. *)
+(** [find name] looks a benchmark up by name, in {!all} and then in
+    {!extras}. *)
 
 val build_exn : string -> Logic.Network.t
-(** [build_exn name] builds the named benchmark.
+(** [build_exn name] builds the benchmark {!find} names.
     @raise Not_found for an unknown name. *)
 
 val table1_names : string list

@@ -15,9 +15,10 @@ type result = {
   mapped : Unate.Unetwork.t;
   stats : Engine.stats;
   rewrite : Restructure.info option;
+  remap : Engine.remap_info option;
 }
 
-let prepare ?(extract = false) net =
+let prepare net =
   Obs.Trace.with_span ~cat:"mapper" "mapper.prepare"
     ~args:(fun () -> [ ("source", Logic.Network.name net) ])
     (fun () ->
@@ -25,17 +26,15 @@ let prepare ?(extract = false) net =
         Obs.Trace.with_span ~cat:"mapper" "prepare.strash" (fun () ->
             Logic.Strash.run net)
       in
-      let net =
-        if extract then
-          Obs.Trace.with_span ~cat:"mapper" "prepare.extract" (fun () ->
-              Logic.Extract.run net)
-        else net
-      in
       Obs.Trace.with_span ~cat:"mapper" "prepare.decompose" (fun () ->
           Unate.Unetwork.of_network (Unate.Decompose.to_aoi net)))
 
-let options_of ~cost ~w_max ~h_max ~both_orders ~grounded_at_foot ~pareto_width
-    flow =
+let options_of ?(cost = Engine.default_options.Engine.cost)
+    ?(w_max = Engine.default_options.Engine.w_max)
+    ?(h_max = Engine.default_options.Engine.h_max)
+    ?(both_orders = Engine.default_options.Engine.both_orders)
+    ?(grounded_at_foot = Engine.default_options.Engine.grounded_at_foot)
+    ?(pareto_width = Engine.default_options.Engine.pareto_width) flow =
   let style =
     match flow with Domino_map | Rs_map -> Engine.Bulk | Soi_domino_map -> Engine.Soi
   in
@@ -43,7 +42,7 @@ let options_of ~cost ~w_max ~h_max ~both_orders ~grounded_at_foot ~pareto_width
 
 (* The flow-specific postprocess is linear in the circuit, so it runs on
    degraded mappings unbudgeted, exactly as on full ones. *)
-let postprocess_of flow circuit =
+let postprocess flow circuit =
   Obs.Trace.with_span ~cat:"mapper" "mapper.postprocess"
     ~args:(fun () -> [ ("flow", flow_name flow) ])
     (fun () ->
@@ -58,10 +57,8 @@ let postprocess_of flow circuit =
              reordered structures. *)
           Postprocess.rearrange_stacks circuit)
 
-let postprocess = postprocess_of
-
-let finish flow u circuit stats =
-  let circuit = postprocess_of flow circuit in
+let finish flow u (circuit, stats) =
+  let circuit = postprocess flow circuit in
   {
     circuit;
     counts = Domino.Circuit.counts circuit;
@@ -69,6 +66,7 @@ let finish flow u circuit stats =
     mapped = u;
     stats;
     rewrite = None;
+    remap = None;
   }
 
 (* The rewrite portfolio postprocesses each candidate itself (the price
@@ -84,42 +82,72 @@ let finish_rewritten u (r : Restructure.outcome) =
     mapped = r.Restructure.chosen;
     stats = r.Restructure.stats;
     rewrite = Some r.Restructure.info;
+    remap = None;
   }
 
-let run ?memo ?(cost = Cost.area) ?(w_max = 5) ?(h_max = 8)
-    ?(both_orders = true) ?(grounded_at_foot = true) ?(pareto_width = 1)
-    ?(extract = false) ?(rewrite = 0) flow net =
-  let u = prepare ~extract net in
-  let options =
-    options_of ~cost ~w_max ~h_max ~both_orders ~grounded_at_foot ~pareto_width
-      flow
-  in
-  if rewrite > 0 then
-    finish_rewritten u
-      (Restructure.map_best ?memo ~limit:rewrite
-         ~postprocess:(postprocess_of flow) options u)
-  else
-    let circuit, stats = Engine.map ?memo options u in
-    finish flow u circuit stats
-
-let run_outcome ?(budget = Resilience.Budget.unlimited) ?memo
-    ?(on_exhaust = `Degrade) ?(cost = Cost.area) ?(w_max = 5) ?(h_max = 8)
-    ?(both_orders = true) ?(grounded_at_foot = true) ?(pareto_width = 1)
-    ?(extract = false) ?(rewrite = 0) flow net =
-  let u = prepare ~extract net in
-  let options =
-    options_of ~cost ~w_max ~h_max ~both_orders ~grounded_at_foot ~pareto_width
-      flow
-  in
+let map_outcome ?(budget = Resilience.Budget.unlimited) ?memo ?on_exhaust ?cost
+    ?w_max ?h_max ?(rewrite = 0) flow u =
+  let options = options_of ?cost ?w_max ?h_max flow in
   if rewrite > 0 then
     Resilience.Outcome.map (finish_rewritten u)
-      (Restructure.map_best_outcome ~budget ?memo ~on_exhaust ~limit:rewrite
-         ~postprocess:(postprocess_of flow) options u)
+      (Restructure.map_best_outcome ~budget ?memo ?on_exhaust ~limit:rewrite
+         ~postprocess:(postprocess flow) options u)
   else
-    Resilience.Outcome.map
-      (fun (circuit, stats) -> finish flow u circuit stats)
-      (Engine.map_outcome ~budget ?memo ~on_exhaust options u)
+    Resilience.Outcome.map (finish flow u)
+      (Engine.map_outcome ~budget ?memo ?on_exhaust options u)
+
+(* An unlimited budget never trips, so the outcome is always [Ok]. *)
+let map ?memo ?cost ?w_max ?h_max ?rewrite flow u =
+  match map_outcome ?memo ?cost ?w_max ?h_max ?rewrite flow u with
+  | Resilience.Outcome.Ok r -> r
+  | Resilience.Outcome.Degraded _ | Resilience.Outcome.Failed _ -> assert false
+
+let run_outcome ?budget ?memo ?on_exhaust ?cost ?w_max ?h_max ?rewrite flow net =
+  map_outcome ?budget ?memo ?on_exhaust ?cost ?w_max ?h_max ?rewrite flow
+    (prepare net)
+
+let run ?memo ?cost ?w_max ?h_max ?rewrite flow net =
+  map ?memo ?cost ?w_max ?h_max ?rewrite flow (prepare net)
 
 let domino_map ?cost ?w_max ?h_max net = run ?cost ?w_max ?h_max Domino_map net
 let rs_map ?cost ?w_max ?h_max net = run ?cost ?w_max ?h_max Rs_map net
 let soi_domino_map ?cost ?w_max ?h_max net = run ?cost ?w_max ?h_max Soi_domino_map net
+
+(* ---------- incremental remapping ---------- *)
+
+type base = {
+  flow : flow;
+  options : Engine.options;
+  memo : Memo.t option;
+  mutable state : [ `Unbuilt of Unate.Unetwork.t | `Built of Engine.remap_state ];
+}
+
+let base ?memo ?cost ?w_max ?h_max flow u =
+  {
+    flow;
+    options = options_of ?cost ?w_max ?h_max flow;
+    memo;
+    state = `Unbuilt u;
+  }
+
+let built b = match b.state with `Built _ -> true | `Unbuilt _ -> false
+
+(* The base's cold map runs under the first remap's budget and exhaustion
+   policy; a trip leaves it unbuilt.  A remap that trips leaves a built
+   state as it was ([Engine.remap] writes it only on success). *)
+let remap ?(budget = Resilience.Budget.unlimited) ?on_exhaust b u =
+  let info = ref None in
+  Engine.guard ?on_exhaust b.options u (fun () ->
+      let st =
+        match b.state with
+        | `Built st -> st
+        | `Unbuilt u0 ->
+            let st, _ = Engine.remap_init ~budget ?memo:b.memo b.options u0 in
+            b.state <- `Built st;
+            st
+      in
+      let circuit, stats, i = Engine.remap ~budget st u in
+      info := Some i;
+      (circuit, stats))
+  |> Resilience.Outcome.map (fun mapped ->
+         { (finish b.flow u mapped) with remap = !info })

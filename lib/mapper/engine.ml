@@ -731,9 +731,8 @@ let map_greedy options u =
   in
   (circuit, stats)
 
-let map_outcome ?(budget = Resilience.Budget.unlimited) ?memo ?(memo_salt = 0)
-    ?(on_exhaust = `Degrade) options u =
-  match map ~budget ?memo ~memo_salt options u with
+let guard ?(on_exhaust = `Degrade) options u run =
+  match run () with
   | result -> Resilience.Outcome.Ok result
   | exception Resilience.Budget.Exhausted reason -> (
       match on_exhaust with
@@ -744,6 +743,10 @@ let map_outcome ?(budget = Resilience.Budget.unlimited) ?memo ?(memo_salt = 0)
             ( map_greedy options u,
               [ { Resilience.Outcome.stage = "mapper"; reason;
                   fallback = "greedy" } ] ))
+
+let map_outcome ?(budget = Resilience.Budget.unlimited) ?memo ?(memo_salt = 0)
+    ?on_exhaust options u =
+  guard ?on_exhaust options u (fun () -> map ~budget ?memo ~memo_salt options u)
 
 (* ---------- incremental remapping ---------- *)
 

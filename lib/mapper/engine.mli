@@ -134,6 +134,20 @@ val map_outcome :
     [Failed] with the tripped budget's reason.  Never raises
     [Exhausted]. *)
 
+val guard :
+  ?on_exhaust:[ `Fail | `Degrade ] ->
+  options ->
+  Unate.Unetwork.t ->
+  (unit -> Domino.Circuit.t * stats) ->
+  (Domino.Circuit.t * stats) Resilience.Outcome.t
+(** [guard ~on_exhaust options u run] applies {!map_outcome}'s
+    exhaustion policy to [run], a budgeted mapping of [u] under
+    [options]: [Ok] of its answer, or when it raises
+    {!Resilience.Budget.Exhausted}, the greedy rung's [Degraded]
+    mapping of [u] ([`Degrade], default) or [Failed].  The pipeline
+    driver maps incremental remaps through it, so a remap that trips
+    its budget degrades exactly as a map does. *)
+
 (** {2 Incremental remapping}
 
     A {!remap_state} wraps a warm {!Memo} table together with the

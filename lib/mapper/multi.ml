@@ -23,10 +23,9 @@ let dominates a b =
      || ca.Domino.Circuit.levels < cb.Domino.Circuit.levels
      || ca.Domino.Circuit.t_clock < cb.Domino.Circuit.t_clock)
 
-let sweep ?memo ?(portfolio = default_portfolio) ?(w_max = 5) ?(h_max = 8)
-    ?(rewrite = 0) net =
-  (* Portfolio jobs are independent full mapping runs over the same
-     (read-only) source network; fan them out on the default pool.
+let sweep ?memo ?(portfolio = default_portfolio) ?w_max ?h_max ?rewrite net =
+  (* Portfolio jobs are independent mapping runs over the same
+     (read-only) prepared network; fan them out on the default pool.
      Result order is portfolio order, so the Pareto marking below and
      the rendered table are identical at any worker count.
 
@@ -36,6 +35,7 @@ let sweep ?memo ?(portfolio = default_portfolio) ?(w_max = 5) ?(h_max = 8)
      structural repetition and any caller-supplied warmth are the wins,
      and the hit pattern stays schedule-independent. *)
   let memo = match memo with Some m -> m | None -> Memo.create () in
+  let u = Algorithms.prepare net in
   let raw =
     Parallel.Pool.map_list_default
       (fun (label, cost) ->
@@ -43,8 +43,8 @@ let sweep ?memo ?(portfolio = default_portfolio) ?(w_max = 5) ?(h_max = 8)
           ~args:(fun () -> [ ("objective", label) ])
         @@ fun () ->
         let r =
-          Algorithms.run ~memo ~cost ~w_max ~h_max ~rewrite
-            Algorithms.Soi_domino_map net
+          Algorithms.map ~memo ~cost ?w_max ?h_max ?rewrite
+            Algorithms.Soi_domino_map u
         in
         {
           label;

@@ -25,8 +25,9 @@ val sweep :
   ?rewrite:int ->
   Logic.Network.t ->
   point list
-(** [sweep net] maps [net] with {!Algorithms.Soi_domino_map} under every
-    objective in the portfolio and marks Pareto efficiency.  The
+(** [sweep net] prepares [net] once, maps it with
+    {!Algorithms.Soi_domino_map} under every objective in the portfolio
+    and marks Pareto efficiency.  The
     portfolio shares one structural memo table — a fresh one per sweep
     unless [memo] supplies a warm one (e.g. [soimap --cache]).
     [rewrite] (default 0) turns on the rewriting front end per

@@ -83,20 +83,6 @@ let events () =
   Mutex.unlock ring_mutex;
   evs
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let dump buf =
   Mutex.lock ring_mutex;
   let cap = Array.length ring.slots in
@@ -121,7 +107,8 @@ let dump buf =
         (Printf.sprintf
            "  {\"ts_ns\": %Ld, \"kind\": \"%s\", \"id\": \"%s\", \
             \"detail\": \"%s\", \"v\": %d}"
-           e.ts (escape e.kind) (escape e.id) (escape e.detail) e.v))
+           e.ts (Json.escape e.kind) (Json.escape e.id) (Json.escape e.detail)
+           e.v))
     evs;
   Buffer.add_string buf "\n]}\n"
 

@@ -274,3 +274,20 @@ let to_string = function Str s -> Some s | _ -> None
 let to_float = function Num f -> Some f | _ -> None
 let to_int = function Num f -> Some (int_of_float f) | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
+
+(* ---------------- writing ---------------- *)
+
+let escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (function
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf

@@ -1,4 +1,4 @@
-(** A minimal JSON reader.
+(** A minimal JSON reader, and the string escaper its writers share.
 
     The repository emits several hand-assembled JSON documents — fuzz
     reports, bench telemetry, Chrome traces — and deliberately carries
@@ -46,3 +46,16 @@ val to_int : t -> int option
 (** [to_int] truncates; JSON has only floats. *)
 
 val to_bool : t -> bool option
+
+(** {1 Writing}
+
+    The repository's JSON documents are assembled by hand; every string
+    member goes through this one escaper. *)
+
+val escape : string -> string
+(** [escape s] is the body of a JSON string literal holding [s] (no
+    surrounding quotes): double quote and backslash are escaped,
+    newline, carriage return and tab take their short escapes, every
+    other control byte below 0x20 becomes a six-byte unicode escape,
+    and all other bytes pass through, so UTF-8 text stays as it is.
+    {!parse} reads the result back to [s]. *)

@@ -184,20 +184,6 @@ let drain () =
 
 (* ---------------- Chrome trace-event JSON ---------------- *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Timestamps are rebased to the first event and emitted in
    microseconds, the unit the trace-event format specifies. *)
 let us_of_ns base ns = Int64.to_float (Int64.sub ns base) /. 1e3
@@ -207,7 +193,8 @@ let add_args buf args =
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf (Printf.sprintf "\"%s\": \"%s\"" (escape k) (escape v)))
+      Buffer.add_string buf
+        (Printf.sprintf "\"%s\": \"%s\"" (Json.escape k) (Json.escape v)))
     args;
   Buffer.add_string buf "}"
 
@@ -216,7 +203,7 @@ let add_process_meta buf process_name =
     (Printf.sprintf
        "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": 0, \
         \"args\": {\"name\": \"%s\"}}"
-       (escape process_name))
+       (Json.escape process_name))
 
 let add_thread_meta buf tid =
   Buffer.add_string buf
@@ -229,7 +216,7 @@ let add_event buf base e =
   Buffer.add_string buf
     (Printf.sprintf
        "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"%c\", \"ts\": %.3f, "
-       (escape e.name) (escape e.cat) e.ph (us_of_ns base e.ts));
+       (Json.escape e.name) (Json.escape e.cat) e.ph (us_of_ns base e.ts));
   if e.ph = 'X' then
     Buffer.add_string buf
       (Printf.sprintf "\"dur\": %.3f, " (Int64.to_float e.dur /. 1e3))

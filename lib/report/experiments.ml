@@ -19,18 +19,26 @@ let average f rows =
   | [] -> 0.0
   | _ -> List.fold_left (fun acc r -> acc +. f r) 0.0 rows /. float_of_int (List.length rows)
 
-(* Every experiment table maps two-or-more full technology-mapping runs
-   over each benchmark name; the rows are independent, so they are
-   computed on the default {!Parallel.Pool}.  Row order is the caller's
-   name order regardless of pool size. *)
+(* Every experiment table maps each benchmark two ways; the rows are
+   independent, so they are computed on the default {!Parallel.Pool}.
+   Row order is the caller's name order regardless of pool size.  A row
+   prepares its benchmark once and maps the prepared network under both
+   of its configurations. *)
+
+let prepared name = Mapper.Algorithms.prepare (Gen.Suite.build_exn name)
+
+let counts ?cost flow u =
+  (Mapper.Algorithms.map ?cost flow u).Mapper.Algorithms.counts
 
 let comparison flow names =
   Parallel.Pool.map_list_default
     (fun name ->
-      let net = Gen.Suite.build_exn name in
-      let base = (Mapper.Algorithms.domino_map net).Mapper.Algorithms.counts in
-      let improved = (Mapper.Algorithms.run flow net).Mapper.Algorithms.counts in
-      { name; base; improved })
+      let u = prepared name in
+      {
+        name;
+        base = counts Mapper.Algorithms.Domino_map u;
+        improved = counts flow u;
+      })
     names
 
 let table1 ?(names = Gen.Suite.table1_names) () =
@@ -51,10 +59,10 @@ let clock_reduction_pct r =
 let table3 ?(k = 2) ?(names = Gen.Suite.table3_names) () =
   Parallel.Pool.map_list_default
     (fun name ->
-      let net = Gen.Suite.build_exn name in
+      let u = prepared name in
       let run k =
-        (Mapper.Algorithms.soi_domino_map ~cost:(Mapper.Cost.clock_weighted k) net)
-          .Mapper.Algorithms.counts
+        counts ~cost:(Mapper.Cost.clock_weighted k)
+          Mapper.Algorithms.Soi_domino_map u
       in
       { name3 = name; k1 = run 1; kn = run k })
     names
@@ -69,17 +77,15 @@ type t4_row = {
 let table4 ?(names = Gen.Suite.table4_names) () =
   Parallel.Pool.map_list_default
     (fun name ->
-      let net = Gen.Suite.build_exn name in
-      let source_depth = Unate.Unetwork.depth (Mapper.Algorithms.prepare net) in
-      let bulk =
-        (Mapper.Algorithms.domino_map ~cost:Mapper.Cost.depth_bulk net)
-          .Mapper.Algorithms.counts
-      in
-      let soi =
-        (Mapper.Algorithms.soi_domino_map ~cost:Mapper.Cost.depth_soi net)
-          .Mapper.Algorithms.counts
-      in
-      { name4 = name; source_depth; bulk; soi })
+      let u = prepared name in
+      {
+        name4 = name;
+        source_depth = Unate.Unetwork.depth u;
+        bulk =
+          counts ~cost:Mapper.Cost.depth_bulk Mapper.Algorithms.Domino_map u;
+        soi =
+          counts ~cost:Mapper.Cost.depth_soi Mapper.Algorithms.Soi_domino_map u;
+      })
     names
 
 (* ------------------------------------------------------------------ *)

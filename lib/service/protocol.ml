@@ -50,6 +50,25 @@ let format_of_string = function
   | "suite" -> Ok Suite
   | s -> Error ("unknown format: " ^ s ^ " (blif|bench|pla|suite)")
 
+type load_error = Malformed of int * string | Unknown_benchmark of string
+
+let load format text =
+  Obs.Trace.with_span ~cat:"mapper" "mapper.load" @@ fun () ->
+  try
+    match format with
+    | Blif -> Ok (Blif.parse_string text)
+    | Bench_fmt -> Ok (Bench_format.parse_string text)
+    | Pla -> Ok (Pla.to_network (Pla.parse_string text))
+    | Suite -> (
+        match Gen.Suite.find text with
+        | Some e -> Ok (e.Gen.Suite.build ())
+        | None -> Error (Unknown_benchmark text))
+  with
+  | Blif.Parse_error (line, msg)
+  | Bench_format.Parse_error (line, msg)
+  | Pla.Parse_error (line, msg) ->
+      Error (Malformed (line, msg))
+
 type map_params = {
   format : format;
   payload : string;
@@ -90,6 +109,11 @@ let flow_of_string = function
   | "rs" -> Ok Mapper.Algorithms.Rs_map
   | "soi" -> Ok Mapper.Algorithms.Soi_domino_map
   | s -> Error ("unknown flow: " ^ s ^ " (bulk|rs|soi)")
+
+let on_exhaust_of_string = function
+  | "degrade" -> Ok `Degrade
+  | "fail" -> Ok `Fail
+  | s -> Error ("unknown on_exhaust policy: " ^ s ^ " (degrade|fail)")
 
 (* Accessor helpers over Obs.Json with per-field type errors. *)
 let field_str j name default =
@@ -154,21 +178,20 @@ let parse_map j =
   in
   let* flow_s = field_str j "flow" "soi" in
   let* flow = flow_of_string flow_s in
-  let* cost_s = field_str j "cost" "area" in
-  let* cost = cost_of_string cost_s in
-  let* w_max = field_int j "w_max" 5 in
-  let* h_max = field_int j "h_max" 8 in
+  let d = Mapper.Engine.default_options in
+  let* cost =
+    match Obs.Json.member "cost" j with
+    | None -> Ok d.Mapper.Engine.cost
+    | Some _ -> Result.bind (field_str j "cost" "") cost_of_string
+  in
+  let* w_max = field_int j "w_max" d.Mapper.Engine.w_max in
+  let* h_max = field_int j "h_max" d.Mapper.Engine.h_max in
   let* rewrite = field_int j "rewrite" 0 in
   let* timeout = field_float_opt j "timeout" in
   let* max_tuples = field_int_opt j "max_tuples" in
   let* max_bdd_nodes = field_int_opt j "max_bdd_nodes" in
   let* on_exhaust_s = field_str j "on_exhaust" "degrade" in
-  let* on_exhaust =
-    match on_exhaust_s with
-    | "degrade" -> Ok `Degrade
-    | "fail" -> Ok `Fail
-    | s -> Error ("unknown on_exhaust policy: " ^ s ^ " (degrade|fail)")
-  in
+  let* on_exhaust = on_exhaust_of_string on_exhaust_s in
   let* dump = field_bool j "dump" false in
   let* delay_ms = field_int j "delay_ms" 0 in
   (* The same fail-fast validation as the soimap flags: a zero timeout
@@ -249,20 +272,7 @@ let parse_request line =
 
 (* ---------------- responses ---------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_escape = Obs.Json.escape
 
 let str s = "\"" ^ json_escape s ^ "\""
 

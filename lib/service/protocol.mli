@@ -55,6 +55,18 @@ val addr_to_string : addr -> string
 
 type format = Blif | Bench_fmt | Pla | Suite
 
+type load_error =
+  | Malformed of int * string
+      (** [(line, message)]: the text is not valid in its format *)
+  | Unknown_benchmark of string  (** a [Suite] name {!Gen.Suite.find} lacks *)
+
+val load : format -> string -> (Logic.Network.t, load_error) result
+(** [load format text] builds the network [text] describes: the circuit
+    text itself for [Blif], [Bench_fmt] and [Pla], a built-in benchmark
+    name ({!Gen.Suite.find}) for [Suite].  Runs under the [mapper.load]
+    span.  The daemon loads payloads and remap bases through it, and
+    [soimap] loads what its input flags name. *)
+
 type map_params = {
   format : format;
   payload : string;  (** circuit text, or the suite benchmark name *)
@@ -94,6 +106,10 @@ val parse_request : string -> (request, string) result
 val format_of_string : string -> (format, string) result
 val flow_of_string : string -> (Mapper.Algorithms.flow, string) result
 val cost_of_string : string -> (Mapper.Cost.model, string) result
+
+val on_exhaust_of_string : string -> ([ `Degrade | `Fail ], string) result
+(** The request vocabulary, shared with the [soimap] flags of the same
+    names. *)
 
 (** {1 Responses}
 
@@ -157,4 +173,4 @@ val response_trace_id : Obs.Json.t -> string option
 (** The echoed ["trace_id"] member, when present. *)
 
 val json_escape : string -> string
-(** JSON string-body escaping (shared with the CLI's stats printer). *)
+(** {!Obs.Json.escape}: JSON string-body escaping. *)

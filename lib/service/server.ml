@@ -148,7 +148,7 @@ type job = {
   t_enq : int64;
 }
 
-(* One base's warm state, keyed by everything that determines it: the
+(* One built remap base, keyed by everything that determines it: the
    base text, format, flow, cost model and bounds.  The key holds the
    text itself: comparing it is a memcmp, while a structural key (a
    fingerprint) would cost the parse and prepare that the cache exists
@@ -161,7 +161,7 @@ type baseline = {
     * Mapper.Cost.model
     * int
     * int;
-  state : Mapper.Engine.remap_state;
+  base : Mapper.Algorithms.base;
 }
 
 (* Enough for a few designers on distinct bases; each entry costs its
@@ -366,31 +366,20 @@ let conn_release conn =
 
 exception Payload_error of string
 
-let network_of_payload (p : Protocol.map_params) =
-  Obs.Trace.with_span ~cat:"mapper" "mapper.load" @@ fun () ->
-  match p.format with
-  | Protocol.Blif -> (
-      try Blif.parse_string p.payload
-      with Blif.Parse_error (line, msg) ->
-        raise (Payload_error (Printf.sprintf "blif:%d: %s" line msg)))
-  | Protocol.Bench_fmt -> (
-      try Bench_format.parse_string p.payload
-      with Bench_format.Parse_error (line, msg) ->
-        raise (Payload_error (Printf.sprintf "bench:%d: %s" line msg)))
-  | Protocol.Pla -> (
-      try Pla.to_network (Pla.parse_string p.payload)
-      with Pla.Parse_error (line, msg) ->
-        raise (Payload_error (Printf.sprintf "pla:%d: %s" line msg)))
-  | Protocol.Suite -> (
-      let in_extras () =
-        List.find_opt
-          (fun e -> e.Gen.Suite.name = p.payload)
-          Gen.Suite.extras
+let load_payload (fmt : Protocol.format) text =
+  match Protocol.load fmt text with
+  | Ok net -> net
+  | Error (Protocol.Malformed (line, msg)) ->
+      let kind =
+        match fmt with
+        | Protocol.Blif -> "blif"
+        | Protocol.Bench_fmt -> "bench"
+        | Protocol.Pla -> "pla"
+        | Protocol.Suite -> "suite"
       in
-      match (Gen.Suite.find p.payload, in_extras ()) with
-      | Some e, _ | None, Some e -> e.Gen.Suite.build ()
-      | None, None ->
-          raise (Payload_error ("unknown suite benchmark: " ^ p.payload)))
+      raise (Payload_error (Printf.sprintf "%s:%d: %s" kind line msg))
+  | Error (Protocol.Unknown_benchmark name) ->
+      raise (Payload_error ("unknown suite benchmark: " ^ name))
 
 (* Client-supplied limits clamped by server policy: the effective
    timeout is always finite (policy default when the client sent none,
@@ -412,11 +401,13 @@ let effective_budget cfg (p : Protocol.map_params) =
     ?max_bdd_nodes:(tighter p.max_bdd_nodes cfg.max_bdd_nodes_cap)
     ()
 
-(* The warm state for [base] under [p]'s format, flow, cost and bounds,
-   moved to the front of the MRU list; a miss builds it and evicts the
-   least recently used entry beyond [baseline_capacity].  Call with
+(* Remap the prepared edit [u] against the baseline for [base] under
+   [p]'s format, flow, cost and bounds.  A cached baseline moves to the
+   front of the MRU list.  A missing one is built by this remap and
+   cached unless its build tripped the budget, evicting the least
+   recently used entry beyond [baseline_capacity].  Call with
    [remap_lock] held. *)
-let baseline_state t (p : Protocol.map_params) ~budget base =
+let remap_against t (p : Protocol.map_params) ~budget base u =
   let key =
     ( base,
       p.Protocol.format,
@@ -425,28 +416,29 @@ let baseline_state t (p : Protocol.map_params) ~budget base =
       p.Protocol.w_max,
       p.Protocol.h_max )
   in
+  let remap b =
+    Mapper.Algorithms.remap ~budget ~on_exhaust:p.Protocol.on_exhaust b u
+  in
   match List.find_opt (fun b -> b.key = key) t.baselines with
   | Some b ->
       Obs.Metrics.incr m_baseline_hits;
       t.baselines <- b :: List.filter (fun b' -> b' != b) t.baselines;
-      b.state
+      remap b.base
   | None ->
-      let u0 =
-        Mapper.Algorithms.prepare
-          (network_of_payload { p with Protocol.payload = base })
+      let b =
+        Mapper.Algorithms.base ~memo:t.memo ~cost:p.Protocol.cost
+          ~w_max:p.Protocol.w_max ~h_max:p.Protocol.h_max p.Protocol.flow
+          (Mapper.Algorithms.prepare (load_payload p.Protocol.format base))
       in
-      let opts =
-        Mapper.Algorithms.options_of ~cost:p.Protocol.cost
-          ~w_max:p.Protocol.w_max ~h_max:p.Protocol.h_max ~both_orders:true
-          ~grounded_at_foot:true ~pareto_width:1 p.Protocol.flow
-      in
-      let state, _ = Mapper.Engine.remap_init ~budget ~memo:t.memo opts u0 in
-      Obs.Metrics.incr m_baseline_builds;
-      t.baselines <-
-        List.filteri
-          (fun i _ -> i < baseline_capacity)
-          ({ key; state } :: t.baselines);
-      state
+      let outcome = remap b in
+      if Mapper.Algorithms.built b then begin
+        Obs.Metrics.incr m_baseline_builds;
+        t.baselines <-
+          List.filteri
+            (fun i _ -> i < baseline_capacity)
+            ({ key; base = b } :: t.baselines)
+      end;
+      outcome
 
 type job_outcome = Ok_ | Degraded_ | Failed_
 
@@ -469,72 +461,56 @@ let run_job t job =
   locked t (fun () -> t.c_inflight <- t.c_inflight + 1);
   let gc0 = Obs.Gcstats.snap () in
   let elapsed () = Obs.Clock.ns_to_ms (Int64.sub (Obs.Clock.now_ns ()) job.t_enq) in
-  (* The remap op's fingerprint verdict, set by the remap branch below
-     and attached to its (always [Ok_]) mapped response. *)
-  let remap_info = ref None in
+  let mapped status r degradations =
+    Protocol.render_mapped ?trace_id:tid
+      ?remap:
+        (Option.map
+           (fun (i : Mapper.Engine.remap_info) ->
+             {
+               Protocol.rs_nodes =
+                 Unate.Unetwork.node_count r.Mapper.Algorithms.unate;
+               rs_dirty = i.Mapper.Engine.dirty_cones;
+               rs_clean = i.Mapper.Engine.clean_cones;
+             })
+           r.Mapper.Algorithms.remap)
+      ~id:job.req_id ~status ~counts:r.Mapper.Algorithms.counts ~degradations
+      ~elapsed_ms:(elapsed ())
+      ~dump:
+        (if p.Protocol.dump then
+           Some (Domino.Circuit.dump r.Mapper.Algorithms.circuit)
+         else None)
+      ()
+  in
   let outcome, detail, line =
     match
       (if p.Protocol.delay_ms > 0 then
          Unix.sleepf
            (float_of_int (min p.Protocol.delay_ms cfg.max_delay_ms) /. 1000.));
-      let net = network_of_payload p in
+      let net = load_payload p.Protocol.format p.Protocol.payload in
       let budget = effective_budget cfg p in
+      let u = Mapper.Algorithms.prepare net in
       match job.base with
       | None ->
-          Mapper.Algorithms.run_outcome ~budget ~memo:t.memo
+          Mapper.Algorithms.map_outcome ~budget ~memo:t.memo
             ~on_exhaust:p.Protocol.on_exhaust ~cost:p.Protocol.cost
             ~w_max:p.Protocol.w_max ~h_max:p.Protocol.h_max
-            ~rewrite:p.Protocol.rewrite p.Protocol.flow net
+            ~rewrite:p.Protocol.rewrite p.Protocol.flow u
       | Some base ->
           (* Incremental remap: fingerprint the payload against a warm
-             baseline state, re-pricing only the dirty cones.  The
-             steady state — many remaps of edited payloads against a few
-             bases — never re-maps a base; a cache miss maps it through
-             the shared warm memo.  Budget trips surface as [failed]
-             through the handlers below (no greedy fallback: a degraded
-             remap would not be byte-faithful to a cold map). *)
-          let u1 = Mapper.Algorithms.prepare net in
-          let circuit, stats, info =
-            Mutex.lock t.remap_lock;
-            Fun.protect
-              ~finally:(fun () -> Mutex.unlock t.remap_lock)
-              (fun () ->
-                Mapper.Engine.remap ~budget (baseline_state t p ~budget base)
-                  u1)
-          in
-          remap_info :=
-            Some
-              {
-                Protocol.rs_nodes = Unate.Unetwork.node_count u1;
-                rs_dirty = info.Mapper.Engine.dirty_cones;
-                rs_clean = info.Mapper.Engine.clean_cones;
-              };
-          Resilience.Outcome.Ok
-            (Mapper.Algorithms.finish p.Protocol.flow u1 circuit stats)
+             baseline, re-pricing only the dirty cones.  The steady
+             state — many remaps of edited payloads against a few bases
+             — never re-maps a base; a cache miss maps it through the
+             shared warm memo.  A budget trip follows [on_exhaust] as a
+             map's does. *)
+          Mutex.lock t.remap_lock;
+          Fun.protect
+            ~finally:(fun () -> Mutex.unlock t.remap_lock)
+            (fun () -> remap_against t p ~budget base u)
     with
-    | Resilience.Outcome.Ok r ->
-        ( Ok_,
-          "",
-          Protocol.render_mapped ?trace_id:tid ?remap:!remap_info
-            ~id:job.req_id ~status:"ok" ~counts:r.Mapper.Algorithms.counts
-            ~degradations:[] ~elapsed_ms:(elapsed ())
-            ~dump:
-              (if p.Protocol.dump then
-                 Some (Domino.Circuit.dump r.Mapper.Algorithms.circuit)
-               else None)
-            () )
+    | Resilience.Outcome.Ok r -> (Ok_, "", mapped "ok" r [])
     | Resilience.Outcome.Degraded (r, ds) ->
         let ds = List.map Resilience.Outcome.describe_degradation ds in
-        ( Degraded_,
-          String.concat "; " ds,
-          Protocol.render_mapped ?trace_id:tid ~id:job.req_id
-            ~status:"degraded" ~counts:r.Mapper.Algorithms.counts
-            ~degradations:ds ~elapsed_ms:(elapsed ())
-            ~dump:
-              (if p.Protocol.dump then
-                 Some (Domino.Circuit.dump r.Mapper.Algorithms.circuit)
-               else None)
-            () )
+        (Degraded_, String.concat "; " ds, mapped "degraded" r ds)
     | Resilience.Outcome.Failed reason ->
         let msg = Resilience.Budget.reason_to_string reason in
         ( Failed_,
@@ -546,12 +522,6 @@ let run_job t job =
           "parse: " ^ msg,
           Protocol.render_failed ?trace_id:tid ~id:job.req_id
             ~elapsed_ms:(elapsed ()) ("parse: " ^ msg) )
-    | exception Resilience.Budget.Exhausted reason ->
-        let msg = Resilience.Budget.reason_to_string reason in
-        ( Failed_,
-          msg,
-          Protocol.render_failed ?trace_id:tid ~id:job.req_id
-            ~elapsed_ms:(elapsed ()) msg )
     | exception e ->
         let msg = "internal: " ^ Printexc.to_string e in
         ( Failed_,

@@ -114,10 +114,41 @@ let test_soimap_exit_codes () =
     (soimap "--blif /nonexistent/missing.blif");
   Alcotest.(check int) "two sources is a usage error" 2
     (soimap "--bench mux --blif x.blif");
+  Alcotest.(check int) "an extras benchmark maps" 0 (soimap "--bench fig3");
+  Alcotest.(check int) "unknown remap base is a usage error" 2
+    (soimap "--bench mux --remap no-such-circuit");
   let bad = write_temp ".blif" ".model broken\n.latch a b\n.end\n" in
   Fun.protect ~finally:(fun () -> Sys.remove bad) (fun () ->
       Alcotest.(check int) "malformed BLIF is a usage error" 2
         (soimap ("--blif " ^ Filename.quote bad)))
+
+(* --remap under a tripped budget follows --on-exhaust as a map does. *)
+let test_soimap_remap_budget () =
+  let out = Filename.temp_file "soimap_test" ".out" in
+  Fun.protect ~finally:(fun () -> Sys.remove out) (fun () ->
+      let run args =
+        let rc =
+          Sys.command
+            (Printf.sprintf "../bin/soimap.exe %s >%s 2>/dev/null" args
+               (Filename.quote out))
+        in
+        (rc, In_channel.with_open_text out In_channel.input_all)
+      in
+      let has s sub =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      let rc, text = run "--bench c880 --remap mux --max-tuples=1" in
+      Alcotest.(check int) "a degraded remap exits 0" 0 rc;
+      Alcotest.(check bool) "and says DEGRADED" true (has text "  DEGRADED: ");
+      let rc, text =
+        run "--bench c880 --remap mux --max-tuples=1 --on-exhaust fail"
+      in
+      Alcotest.(check int) "a failed remap exits 3" 3 rc;
+      Alcotest.(check bool) "and says EXHAUSTED" true (has text ": EXHAUSTED "))
 
 let test_soimap_parse_error_location () =
   let bad = write_temp ".blif" ".model broken\n.latch a b\n.end\n" in
@@ -159,6 +190,7 @@ let suite =
     Alcotest.test_case "complementary literals fold" `Quick
       test_complementary_folds_to_constant;
     Alcotest.test_case "soimap exit codes" `Quick test_soimap_exit_codes;
+    Alcotest.test_case "soimap remap budget" `Quick test_soimap_remap_budget;
     Alcotest.test_case "soimap parse-error location" `Quick
       test_soimap_parse_error_location;
     Alcotest.test_case "soimap constant flow-all" `Quick

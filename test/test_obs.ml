@@ -88,6 +88,22 @@ let test_json_long_string () =
   if per_byte > 0.5 then
     Alcotest.failf "decoding allocated %.2f words per byte (at most 0.5)" per_byte
 
+(* The one escaper the repo's JSON writers share: every ASCII byte,
+   control bytes included, and a multi-byte UTF-8 sequence come back
+   from the reader unchanged, with the short escapes where JSON has
+   them. *)
+let test_json_escape_roundtrip () =
+  let ascii = String.init 0x80 Char.chr in
+  let s = ascii ^ "caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x98\x80" in
+  (match Obs.Json.parse ("\"" ^ Obs.Json.escape s ^ "\"") with
+  | Ok (Obs.Json.Str got) ->
+      Alcotest.(check bool) "escape then parse is the identity" true
+        (String.equal s got)
+  | Ok _ -> Alcotest.fail "not a string"
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check string) "short and unicode escapes"
+    "\\n\\r\\t\\u0001\\\"\\\\" (Obs.Json.escape "\n\r\t\001\"\\")
+
 let test_json_roundtrip_report () =
   (* The reader must accept what the repo's own emitters produce. *)
   let r =
@@ -683,6 +699,7 @@ let suite =
     Alcotest.test_case "json values" `Quick test_json_values;
     Alcotest.test_case "json errors" `Quick test_json_errors;
     Alcotest.test_case "json long string" `Quick test_json_long_string;
+    Alcotest.test_case "json escape round-trip" `Quick test_json_escape_roundtrip;
     Alcotest.test_case "json reads fuzz report" `Quick test_json_roundtrip_report;
     Alcotest.test_case "metrics disabled path" `Quick test_metrics_disabled_free;
     Alcotest.test_case "metrics aggregation" `Quick test_metrics_aggregation;

@@ -270,6 +270,53 @@ let test_depth_model_remap () =
   Alcotest.(check int) "no memo traffic under depth models" 0
     (info.Engine.memo_hits + info.Engine.memo_misses)
 
+(* The driver's remap under a tripped budget: whether the base's build
+   or the remap against a built base trips, [on_exhaust] decides as it
+   does for a map, and the base keeps the state it had, so the next
+   remap is still a cold map's twin. *)
+let test_remap_budget () =
+  let flow = Algorithms.Soi_domino_map in
+  let u0 = Algorithms.prepare (Gen.Suite.build_exn "c880") in
+  let u1 = Check.Edit.apply ~seed:7 u0 in
+  let tiny () = Resilience.Budget.make ~max_tuples:1 () in
+  let dump (r : Algorithms.result) = Domino.Circuit.dump r.Algorithms.circuit in
+  let cold u = dump (Algorithms.map flow u) in
+  let greedy =
+    match Algorithms.map_outcome ~budget:(tiny ()) flow u1 with
+    | Resilience.Outcome.Degraded (r, _) -> dump r
+    | _ -> Alcotest.fail "a one-tuple map did not degrade"
+  in
+  let b = Algorithms.base flow u0 in
+  let trips what =
+    (match Algorithms.remap ~budget:(tiny ()) ~on_exhaust:`Fail b u1 with
+    | Resilience.Outcome.Failed _ -> ()
+    | _ -> Alcotest.failf "%s: a tripped remap did not fail under `Fail" what);
+    match Algorithms.remap ~budget:(tiny ()) b u1 with
+    | Resilience.Outcome.Degraded (r, _ :: _) ->
+        Alcotest.(check string) (what ^ ": degraded remap = degraded map")
+          greedy (dump r);
+        Alcotest.(check bool) (what ^ ": no remap verdict") true
+          (r.Algorithms.remap = None)
+    | _ -> Alcotest.failf "%s: a tripped remap did not degrade" what
+  in
+  trips "base build";
+  Alcotest.(check bool) "a tripped build leaves the base unbuilt" false
+    (Algorithms.built b);
+  let u2 = Check.Edit.apply ~seed:8 u0 in
+  (match Algorithms.remap b u2 with
+  | Resilience.Outcome.Ok r ->
+      Alcotest.(check string) "remap after tripped builds = cold map" (cold u2)
+        (dump r)
+  | _ -> Alcotest.fail "an unbudgeted remap did not map");
+  Alcotest.(check bool) "the next remap builds the base" true (Algorithms.built b);
+  trips "built base";
+  match Algorithms.remap b u1 with
+  | Resilience.Outcome.Ok r ->
+      Alcotest.(check string) "remap after tripped remaps = cold map" (cold u1)
+        (dump r);
+      Alcotest.(check bool) "with its verdict" true (r.Algorithms.remap <> None)
+  | _ -> Alcotest.fail "an unbudgeted remap did not map"
+
 (* ------------------------------------------------------------------ *)
 (* The fuzz loop's remap leg: gap-free and [-j]-invariant.             *)
 (* ------------------------------------------------------------------ *)
@@ -329,6 +376,7 @@ let suite =
     Alcotest.test_case "accumulating-chain-warm" `Quick
       test_accumulating_chain_stays_warm;
     Alcotest.test_case "depth-model-remap" `Quick test_depth_model_remap;
+    Alcotest.test_case "budget-trips" `Quick test_remap_budget;
     Alcotest.test_case "fuzz-remap-seeds-1-5" `Slow test_fuzz_remap_clean;
     Alcotest.test_case "fuzz-remap-jobs-invariant" `Slow
       test_fuzz_remap_jobs_invariant;

@@ -293,18 +293,10 @@ let test_map_best_improves () =
         Alcotest.failf "%s: improvement without a chosen rule" bench)
     [ "f51m"; "count" ]
 
-let build_any name =
-  match Gen.Suite.find name with
-  | Some e -> e.Gen.Suite.build ()
-  | None ->
-      (List.find (fun (e : Gen.Suite.entry) -> e.Gen.Suite.name = name)
-         Gen.Suite.extras)
-        .Gen.Suite.build ()
-
 let test_map_best_tie_keeps_original () =
   (* fig3 has one 4-leaf cone; no rewrite can beat the optimal mapping,
      so the original must win and [chosen] must be [u] itself. *)
-  let u = u_of (build_any "fig3") in
+  let u = u_of (Gen.Suite.build_exn "fig3") in
   let r = Restructure.map_best ~postprocess:soi_post soi_options u in
   Alcotest.(check bool)
     "original wins ties" true

@@ -241,6 +241,55 @@ let test_remap_op () =
   ci "ledger balances" (get "requests")
     (get "ok" + get "degraded" + get "failed" + get "rejected")
 
+(* Every flow under every cost model: a daemon map of the payload, and a
+   remap of it against base mux, both dump the circuit the library's
+   [Algorithms.run] maps with the same flow and cost. *)
+let test_flow_cost_identity () =
+  with_server @@ fun addr _srv ->
+  let c = connect addr in
+  Fun.protect ~finally:(fun () -> Service.Client.close c) @@ fun () ->
+  let dump_of j =
+    match Obs.Json.member "dump" j with
+    | Some (Obs.Json.Str d) -> d
+    | _ -> Alcotest.fail "response carried no dump"
+  in
+  List.iter
+    (fun (flow_s, flow) ->
+      List.iter
+        (fun cost_s ->
+          let cost_s =
+            if cost_s = "depth" && flow <> Mapper.Algorithms.Soi_domino_map
+            then "depth-bulk"
+            else cost_s
+          in
+          let cost = Result.get_ok (Service.Protocol.cost_of_string cost_s) in
+          List.iter
+            (fun bench ->
+              let reference =
+                Domino.Circuit.dump
+                  (Mapper.Algorithms.run ~cost flow (Gen.Suite.build_exn bench))
+                    .Mapper.Algorithms.circuit
+              in
+              List.iter
+                (fun (op, base) ->
+                  let label = Printf.sprintf "%s %s/%s/%s" op flow_s cost_s bench in
+                  let j =
+                    request c
+                      (Printf.sprintf
+                         {|{"id":"%s","op":"%s",%s"format":"suite","payload":"%s","flow":"%s","cost":"%s","dump":true}|}
+                         label op base bench flow_s cost_s)
+                  in
+                  cs (label ^ " status") "ok" (status j);
+                  cs (label ^ " dump = library dump") reference (dump_of j))
+                [ ("map", ""); ("remap", {|"base":"mux",|}) ])
+            [ "z4ml"; "cordic" ])
+        [ "area"; "depth"; "2" ])
+    [
+      ("bulk", Mapper.Algorithms.Domino_map);
+      ("rs", Mapper.Algorithms.Rs_map);
+      ("soi", Mapper.Algorithms.Soi_domino_map);
+    ]
+
 (* ---------------- framing ---------------- *)
 
 (* A raw socket, so a test controls exactly how the bytes are chunked. *)
@@ -414,6 +463,69 @@ let test_alternating_baselines () =
   ci "every later request hit its baseline"
     ((2 * rounds) - 2)
     (counter "service.remap.baseline_hits")
+
+(* A remap that trips its budget follows [on_exhaust] exactly as a map
+   does, whether the trip is in building the base or in the remap
+   against a warm one; a base whose build tripped is not cached, and
+   the next remap against the base is still a cold map's twin. *)
+let test_remap_budget () =
+  with_metrics @@ fun () ->
+  with_server @@ fun addr srv ->
+  let c = connect addr in
+  Fun.protect ~finally:(fun () -> Service.Client.close c) @@ fun () ->
+  let dump_of j =
+    match Obs.Json.member "dump" j with
+    | Some (Obs.Json.Str d) -> d
+    | _ -> Alcotest.fail "response carried no dump"
+  in
+  let degradations j =
+    match Option.bind (Obs.Json.member "degradations" j) Obs.Json.to_list with
+    | Some l -> List.length l
+    | None -> Alcotest.fail "response carried no degradations"
+  in
+  let remap ~id ?(extra = "") payload =
+    request c
+      (Printf.sprintf
+         {|{"id":"%s","op":"remap","format":"suite","base":"mux","payload":"%s","dump":true%s}|}
+         id payload extra)
+  in
+  let cold bench =
+    Domino.Circuit.dump
+      (Mapper.Algorithms.soi_domino_map (Gen.Suite.build_exn bench))
+        .Mapper.Algorithms.circuit
+  in
+  let degraded_map =
+    request c
+      {|{"id":"m","op":"map","format":"suite","payload":"c880","max_tuples":1,"dump":true}|}
+  in
+  cs "tripped map degrades" "degraded" (status degraded_map);
+  let tripped ~when_ =
+    let j = remap ~id:(when_ ^ "-degrade") ~extra:{|,"max_tuples":1|} "c880" in
+    cs (when_ ^ ": tripped remap degrades") "degraded" (status j);
+    cb (when_ ^ ": degradations listed") true (degradations j > 0);
+    cs (when_ ^ ": degraded remap dump = degraded map dump")
+      (dump_of degraded_map) (dump_of j);
+    cs (when_ ^ ": tripped remap fails under fail") "failed"
+      (status
+         (remap ~id:(when_ ^ "-fail")
+            ~extra:{|,"max_tuples":1,"on_exhaust":"fail"|} "c880"))
+  in
+  tripped ~when_:"base build";
+  ci "a tripped base build is not cached" 0
+    (counter "service.remap.baseline_builds");
+  let j = remap ~id:"after-build" "z4ml" in
+  cs "remap after tripped builds" "ok" (status j);
+  cs "remap after tripped builds = cold map" (cold "z4ml") (dump_of j);
+  ci "the base is built once" 1 (counter "service.remap.baseline_builds");
+  tripped ~when_:"warm base";
+  let j = remap ~id:"after-warm" "c880" in
+  cs "remap after tripped remaps" "ok" (status j);
+  cs "remap after tripped remaps = cold map" (cold "c880") (dump_of j);
+  let get = ledger_of srv in
+  ci "ledger balances" (get "requests")
+    (get "ok" + get "degraded" + get "failed" + get "rejected");
+  ci "degradations ledgered" 3 (get "degraded");
+  ci "failures ledgered" 2 (get "failed")
 
 let test_request_isolation () =
   with_server @@ fun addr srv ->
@@ -806,6 +918,8 @@ let suite =
     Alcotest.test_case "end-to-end" `Quick test_end_to_end;
     Alcotest.test_case "warm-cache identity" `Quick test_warm_cache_identity;
     Alcotest.test_case "remap op" `Quick test_remap_op;
+    Alcotest.test_case "flow and cost identity" `Quick test_flow_cost_identity;
+    Alcotest.test_case "remap under a tripped budget" `Quick test_remap_budget;
     Alcotest.test_case "frames across and within writes" `Quick test_frame_chunking;
     Alcotest.test_case "max request bytes, any chunking" `Quick
       test_max_request_bytes;
