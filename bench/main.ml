@@ -26,12 +26,12 @@ let k2 = Gen.Suite.build_exn "k2"
 let c880_unate = Mapper.Algorithms.prepare c880
 let k2_unate = Mapper.Algorithms.prepare k2
 
+(* Domino_Map's circuit: bulk stacks as the DP ordered them. *)
 let bulk_circuit =
-  let u = c880_unate in
   fst
     (Mapper.Engine.map
-       { Mapper.Engine.default_options with Mapper.Engine.style = Mapper.Engine.Bulk }
-       u)
+       (Mapper.Algorithms.options_of Mapper.Algorithms.Domino_map)
+       c880_unate)
 
 let stage f = Staged.stage f
 
@@ -94,8 +94,12 @@ let stage_benches =
     Test.make ~name:"stage/dp_greedy(c880)"
       (stage (fun () ->
            ignore (Mapper.Engine.map_greedy Mapper.Engine.default_options c880_unate)));
-    Test.make ~name:"stage/postprocess_rearrange(c880)"
-      (stage (fun () -> ignore (Mapper.Postprocess.rearrange_stacks bulk_circuit)));
+    (* The two halves of the engine's per-gate finish. *)
+    Test.make ~name:"stage/reorder(c880)"
+      (stage (fun () ->
+           Array.iter
+             (fun g -> ignore (Domino.Reorder.rearrange g.Domino.Domino_gate.pdn))
+             bulk_circuit.Domino.Circuit.gates));
     Test.make ~name:"stage/pbe_analysis(c880)"
       (stage (fun () ->
            Array.iter
@@ -220,10 +224,7 @@ let memo_benches =
    portfolio (original + 8 variants through the shared memo table)
    against the plain single-structure mapping it competes with. *)
 let rewrite_benches =
-  let post = Mapper.Postprocess.rearrange_stacks in
-  let opts =
-    { Mapper.Engine.default_options with Mapper.Engine.style = Mapper.Engine.Soi }
-  in
+  let opts = Mapper.Engine.default_options in
   [
     Test.make ~name:"rewrite/enumerate(c880)"
       (stage (fun () ->
@@ -231,10 +232,9 @@ let rewrite_benches =
     Test.make ~name:"rewrite/portfolio(c880)"
       (stage (fun () ->
            ignore
-             (Mapper.Restructure.map_best ~limit:8 ~postprocess:post opts
-                c880_unate)));
+             (Mapper.Restructure.map_best ~limit:8 opts c880_unate)));
     Test.make ~name:"rewrite/plain_baseline(c880)"
-      (stage (fun () -> ignore (post (fst (Mapper.Engine.map opts c880_unate)))));
+      (stage (fun () -> ignore (Mapper.Engine.map opts c880_unate)));
   ]
 
 (* Fresh local edits of des (seeds 100-107), each a network the remap

@@ -8,9 +8,7 @@ let default_circuits = [ "cm150"; "z4ml"; "9symml"; "c880"; "c1355"; "count"; "k
 
 let counts_of net ~options =
   let u = Mapper.Algorithms.prepare net in
-  let circuit, _ = Mapper.Engine.map options u in
-  let circuit = Mapper.Postprocess.rearrange_stacks circuit in
-  Domino.Circuit.counts circuit
+  Domino.Circuit.counts (fst (Mapper.Engine.map options u))
 
 let pf = Printf.printf
 
@@ -36,13 +34,9 @@ let grounding_ablation names =
       let net = Gen.Suite.build_exn name in
       let opt = Mapper.Engine.default_options in
       let a = counts_of net ~options:opt in
-      (* For the pessimistic variant the discharge points must also be
-         recomputed pessimistically, so bypass the shared reorder wrapper. *)
-      let u = Mapper.Algorithms.prepare net in
-      let circuit, _ =
-        Mapper.Engine.map { opt with Mapper.Engine.grounded_at_foot = false } u
+      let b =
+        counts_of net ~options:{ opt with Mapper.Engine.grounded_at_foot = false }
       in
-      let b = Domino.Circuit.counts circuit in
       pf "%-8s %8d/%5d %8d/%5d\n" name a.Domino.Circuit.t_disch a.Domino.Circuit.t_total
         b.Domino.Circuit.t_disch b.Domino.Circuit.t_total)
     names;
@@ -72,9 +66,7 @@ let unate_ablation names =
       let u_bp = Unate.Unetwork.of_network pre in
       let u_pa, asg = Unate.Phase.convert pre in
       let map u =
-        let circuit, _ = Mapper.Engine.map Mapper.Engine.default_options u in
-        let circuit = Mapper.Postprocess.rearrange_stacks circuit in
-        Domino.Circuit.counts circuit
+        Domino.Circuit.counts (fst (Mapper.Engine.map Mapper.Engine.default_options u))
       in
       let c_bp = map u_bp and c_pa = map u_pa in
       (* Phase-assigned outputs owe a 2-transistor boundary inverter. *)
@@ -114,7 +106,7 @@ let hysteresis_report names =
       let net = Gen.Suite.build_exn name in
       let r = Mapper.Algorithms.soi_domino_map net in
       let m = Domino.Hysteresis.of_circuit r.Mapper.Algorithms.circuit in
-      let stripped = Mapper.Postprocess.strip_discharges r.Mapper.Algorithms.circuit in
+      let stripped = Domino.Circuit.strip_discharges r.Mapper.Algorithms.circuit in
       let ms = Domino.Hysteresis.of_circuit stripped in
       pf "%-8s %8d/%6d/%6d %22d\n" name m.Domino.Hysteresis.exposed
         m.Domino.Hysteresis.clamped_ground m.Domino.Hysteresis.clamped_discharge

@@ -74,9 +74,7 @@ let () =
   print_endline "--- Full-flow check on a mapped benchmark (c880, 8-bit ALU) ---";
   let net = Gen.Suite.build_exn "c880" in
   let soi = Mapper.Algorithms.soi_domino_map net in
-  let stripped =
-    Mapper.Postprocess.strip_discharges soi.Mapper.Algorithms.circuit
-  in
+  let stripped = Domino.Circuit.strip_discharges soi.Mapper.Algorithms.circuit in
   Printf.printf "  SOI_Domino_Map result PBE-free: %b\n"
     (Sim.Domino_sim.pbe_free soi.Mapper.Algorithms.circuit);
   Printf.printf "  same netlist with discharge transistors removed: %b\n"

@@ -1,16 +1,17 @@
 open Mapper
 
-(* A mapper configuration under test: engine options plus the optional
-   stack-rearrangement postprocess the paper's RS_Map / SOI_Domino_Map
-   flows apply.  [Fuzz] samples these; [Shrink] simplifies them. *)
+(* A mapper configuration under test: engine options (stack
+   rearrangement, the paper's RS_Map / SOI_Domino_Map finish, among
+   them) plus the rewrite front end.  [Fuzz] samples these; [Shrink]
+   simplifies them. *)
 
 type t = {
   opts : Engine.options;
-  rearrange : bool;
   rewrite : int;  (* rewrite-portfolio variant cap; 0 = front end off *)
 }
 
-let default = { opts = Engine.default_options; rearrange = false; rewrite = 0 }
+let default =
+  { opts = { Engine.default_options with Engine.rearrange = false }; rewrite = 0 }
 
 let cost_models =
   [| Cost.area; Cost.clock_weighted 2; Cost.clock_weighted 4; Cost.depth_soi;
@@ -20,22 +21,23 @@ let cost_by_name name =
   Array.to_list cost_models
   |> List.find_opt (fun (m : Cost.model) -> m.Cost.name = name)
 
-(* Uniform sample over the whole configuration space the engine accepts. *)
+(* Uniform sample over the whole configuration space the engine
+   accepts.  The draws are bound in a fixed order, so a seed names the
+   same configuration as it always has. *)
 let sample rng =
   let open Logic in
   let style = if Rng.bool rng then Engine.Bulk else Engine.Soi in
+  let rearrange = Rng.bool rng in
+  let pareto_width = Rng.int_in rng 1 4 in
+  let grounded_at_foot = Rng.bool rng in
+  let both_orders = Rng.bool rng in
+  let cost = cost_models.(Rng.int rng (Array.length cost_models)) in
+  let h_max = Rng.int_in rng 2 10 in
+  let w_max = Rng.int_in rng 2 6 in
   {
     opts =
-      {
-        Engine.w_max = Rng.int_in rng 2 6;
-        h_max = Rng.int_in rng 2 10;
-        style;
-        cost = cost_models.(Rng.int rng (Array.length cost_models));
-        both_orders = Rng.bool rng;
-        grounded_at_foot = Rng.bool rng;
-        pareto_width = Rng.int_in rng 1 4;
-      };
-    rearrange = Rng.bool rng;
+      { Engine.w_max; h_max; style; cost; both_orders; grounded_at_foot;
+        pareto_width; rearrange };
     (* The rewrite front end is CLI-opted (fuzz --rewrite), not sampled:
        its soundness is what the opted-in leg tests, and the plain leg's
        seeds must keep reproducing historical runs. *)
@@ -66,8 +68,8 @@ let grid () =
                             both_orders;
                             grounded_at_foot;
                             pareto_width;
+                            rearrange = false;
                           };
-                        rearrange = false;
                         rewrite = 0;
                       })
                     [ (2, 2); (3, 4); (5, 8) ])
@@ -85,7 +87,7 @@ let describe c =
     (if c.opts.Engine.both_orders then "both" else "heuristic")
     (if c.opts.Engine.grounded_at_foot then "grounded" else "floating")
     c.opts.Engine.pareto_width
-    (if c.rearrange then " +rearrange" else "")
+    (if c.opts.Engine.rearrange then " +rearrange" else "")
     ^ (if c.rewrite > 0 then Printf.sprintf " +rewrite=%d" c.rewrite else "")
 
 (* How far a configuration sits from the simplest one of its style; the
@@ -95,7 +97,7 @@ let complexity c =
   + (if c.opts.Engine.both_orders then 0 else 1)
   + (if c.opts.Engine.grounded_at_foot then 0 else 1)
   + (if c.opts.Engine.cost.Cost.name = Cost.area.Cost.name then 0 else 1)
-  + (if c.rearrange then 1 else 0)
+  + (if c.opts.Engine.rearrange then 1 else 0)
   + if c.rewrite > 0 then 1 else 0
 
 (* One-field simplifications toward the defaults.  The style is never
@@ -105,7 +107,7 @@ let simpler c =
   let candidates =
     [
       { c with rewrite = 0 };
-      { c with rearrange = false };
+      { c with opts = { o with Engine.rearrange = false } };
       { c with opts = { o with Engine.cost = Cost.area } };
       { c with opts = { o with Engine.both_orders = true } };
       { c with opts = { o with Engine.grounded_at_foot = true } };

@@ -101,31 +101,20 @@ let check_frontend ~net_seed net u =
   | Some _ as failure -> failure
   | None -> check_roundtrip ~net_seed net
 
-(* Map [u] under [cfg], applying the flow postprocess the paper pairs with
-   each style: bulk circuits get their discharge transistors from the
-   standalone analysis pass, SOI circuits carry the engine's own.  With
-   [cfg.rewrite > 0] the rewrite portfolio picks among restructured
-   variants — the oracles downstream still compare against the original
-   [u], so a pass certifies the rewriting layer end to end. *)
-let postprocess_of (cfg : Gen_config.t) circuit =
-  let circuit =
-    match cfg.Gen_config.opts.Engine.style with
-    | Engine.Bulk -> Postprocess.insert_discharges circuit
-    | Engine.Soi -> circuit
-  in
-  if cfg.Gen_config.rearrange then Postprocess.rearrange_stacks circuit
-  else circuit
-
+(* Map [u] under [cfg].  The engine emits every gate finished under
+   [cfg.opts] (stack order and discharges), so that is the whole
+   mapping.  With [cfg.rewrite > 0] the rewrite portfolio picks among
+   restructured variants — the oracles downstream still compare against
+   the original [u], so a pass certifies the rewriting layer end to
+   end. *)
 let map_choice ?budget ?memo u (cfg : Gen_config.t) =
   Restructure.map_best ?budget ?memo ~limit:cfg.Gen_config.rewrite
-    ~postprocess:(postprocess_of cfg) cfg.Gen_config.opts u
+    cfg.Gen_config.opts u
 
 let build ?budget ?memo u (cfg : Gen_config.t) =
   if cfg.Gen_config.rewrite > 0 then
     (map_choice ?budget ?memo u cfg).Restructure.circuit
-  else
-    let circuit, _stats = Engine.map ?budget ?memo cfg.Gen_config.opts u in
-    postprocess_of cfg circuit
+  else fst (Engine.map ?budget ?memo cfg.Gen_config.opts u)
 
 (* The network the mapping actually implements: the rewrite portfolio's
    winner, or [u] itself when the front end is off.  The exact-
@@ -282,7 +271,7 @@ let check ?(eval_vectors = 2048) ?(sim_pairs = 24) ?(seed = 0)
    aggregates, because a single circuit is not guaranteed to expose PBE
    (its stacks may all be parallel-free). *)
 let stripped_events ?(sim_pairs = 48) ?(seed = 0) circuit =
-  let stripped = Postprocess.strip_discharges circuit in
+  let stripped = Circuit.strip_discharges circuit in
   let n = Array.length circuit.Circuit.input_names in
   let rng = Logic.Rng.create (seed lxor 0x57A1) in
   let stimulus = Sim.Domino_sim.hold_strike_stimulus ~rng ~pairs:sim_pairs n in

@@ -192,7 +192,7 @@ let json_of_config (c : Gen_config.t) =
     (json_str c.Gen_config.opts.Engine.cost.Cost.name)
     c.Gen_config.opts.Engine.both_orders
     c.Gen_config.opts.Engine.grounded_at_foot
-    c.Gen_config.opts.Engine.pareto_width c.Gen_config.rearrange
+    c.Gen_config.opts.Engine.pareto_width c.Gen_config.opts.Engine.rearrange
     c.Gen_config.rewrite
 
 let json_of_counterexample cex =

@@ -15,6 +15,13 @@ type counts = {
   pi_inverters : int;
 }
 
+let strip_discharges c =
+  {
+    c with
+    gates =
+      Array.map (fun g -> { g with Domino_gate.discharge_points = [] }) c.gates;
+  }
+
 let counts c =
   let t_logic = ref 0 and t_disch = ref 0 and t_clock = ref 0 in
   let neg_lits = Hashtbl.create 16 in

@@ -28,6 +28,11 @@ type counts = {
           the paper) *)
 }
 
+val strip_discharges : t -> t
+(** [strip_discharges c] is [c] without any p-discharge transistor: the
+    unprotected circuit the negative PBE oracle and the simulator demos
+    run to show the failures the discharges prevent. *)
+
 val counts : t -> counts
 (** [counts c] computes the full accounting in one pass. *)
 

@@ -2,8 +2,8 @@
 
     Implements the paper's discharge-point bookkeeping (Section V,
     Figures 4 and 5) as a standalone walk over a finished PDN tree, so it
-    can be used both to post-process bulk-CMOS-style mappings (the
-    [Domino_Map] + post-processing baseline) and to cross-check the
+    places the discharges of every gate the mapper emits, bulk-CMOS-style
+    mappings (the [Domino_Map] baseline) included, and cross-checks the
     incremental bookkeeping carried inside the SOI mapper's tuples.
 
     Every series junction of the PDN is classified as:

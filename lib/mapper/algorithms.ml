@@ -35,30 +35,26 @@ let options_of ?(cost = Engine.default_options.Engine.cost)
     ?(both_orders = Engine.default_options.Engine.both_orders)
     ?(grounded_at_foot = Engine.default_options.Engine.grounded_at_foot)
     ?(pareto_width = Engine.default_options.Engine.pareto_width) flow =
-  let style =
-    match flow with Domino_map | Rs_map -> Engine.Bulk | Soi_domino_map -> Engine.Soi
+  (* Both baselines map PBE-obliviously; RS_Map then reorders the
+     stacks (Table I), and so does the paper's flow as its final polish:
+     the DP orders each AND pairwise, so a flatten-and-reorder of the
+     finished gate can still sink a parallel branch committed early. *)
+  let style, rearrange =
+    match flow with
+    | Domino_map -> (Engine.Bulk, false)
+    | Rs_map -> (Engine.Bulk, true)
+    | Soi_domino_map -> (Engine.Soi, true)
   in
-  { Engine.w_max; h_max; style; cost; both_orders; grounded_at_foot; pareto_width }
+  { Engine.w_max; h_max; style; cost; both_orders; grounded_at_foot;
+    pareto_width; rearrange }
 
-(* The flow-specific postprocess is linear in the circuit, so it runs on
-   degraded mappings unbudgeted, exactly as on full ones. *)
-let postprocess flow circuit =
-  Obs.Trace.with_span ~cat:"mapper" "mapper.postprocess"
-    ~args:(fun () -> [ ("flow", flow_name flow) ])
-    (fun () ->
-      match flow with
-      | Domino_map -> Postprocess.insert_discharges circuit
-      | Rs_map -> Postprocess.rearrange_stacks circuit
-      | Soi_domino_map ->
-          (* Stack reordering is one of the paper's transformations; the DP
-             makes its ordering choices pairwise per AND node, so a final
-             flatten-and-reorder pass can still sink a parallel branch that
-             was committed early.  Discharge points are recomputed for the
-             reordered structures. *)
-          Postprocess.rearrange_stacks circuit)
+(* The engine's per-gate finish over a whole circuit, for soibench's
+   one-shot layer split; the driver never calls it. *)
+let postprocess flow c =
+  let finish = Engine.finish (options_of flow) in
+  { c with Domino.Circuit.gates = Array.map finish c.Domino.Circuit.gates }
 
-let finish flow u (circuit, stats) =
-  let circuit = postprocess flow circuit in
+let packaged u (circuit, stats) =
   {
     circuit;
     counts = Domino.Circuit.counts circuit;
@@ -69,12 +65,10 @@ let finish flow u (circuit, stats) =
     remap = None;
   }
 
-(* The rewrite portfolio postprocesses each candidate itself (the price
-   must weigh the circuit the flow would actually emit), so its winner
-   is packaged without a second postprocess.  [unate] stays the
-   original network: downstream equivalence checks then verify the
-   rewrite end to end, not just the mapping of the chosen variant. *)
-let finish_rewritten u (r : Restructure.outcome) =
+(* [unate] stays the original network under rewriting: downstream
+   equivalence checks then verify the rewrite end to end, not just the
+   mapping of the chosen variant. *)
+let packaged_rewrite u (r : Restructure.outcome) =
   {
     circuit = r.Restructure.circuit;
     counts = Domino.Circuit.counts r.Restructure.circuit;
@@ -89,11 +83,11 @@ let map_outcome ?(budget = Resilience.Budget.unlimited) ?memo ?on_exhaust ?cost
     ?w_max ?h_max ?(rewrite = 0) flow u =
   let options = options_of ?cost ?w_max ?h_max flow in
   if rewrite > 0 then
-    Resilience.Outcome.map (finish_rewritten u)
+    Resilience.Outcome.map (packaged_rewrite u)
       (Restructure.map_best_outcome ~budget ?memo ?on_exhaust ~limit:rewrite
-         ~postprocess:(postprocess flow) options u)
+         options u)
   else
-    Resilience.Outcome.map (finish flow u)
+    Resilience.Outcome.map (packaged u)
       (Engine.map_outcome ~budget ?memo ?on_exhaust options u)
 
 (* An unlimited budget never trips, so the outcome is always [Ok]. *)
@@ -116,7 +110,6 @@ let soi_domino_map ?cost ?w_max ?h_max net = run ?cost ?w_max ?h_max Soi_domino_
 (* ---------- incremental remapping ---------- *)
 
 type base = {
-  flow : flow;
   options : Engine.options;
   memo : Memo.t option;
   mutable state : [ `Unbuilt of Unate.Unetwork.t | `Built of Engine.remap_state ];
@@ -124,7 +117,6 @@ type base = {
 
 let base ?memo ?cost ?w_max ?h_max flow u =
   {
-    flow;
     options = options_of ?cost ?w_max ?h_max flow;
     memo;
     state = `Unbuilt u;
@@ -150,4 +142,4 @@ let remap ?(budget = Resilience.Budget.unlimited) ?on_exhaust b u =
       info := Some i;
       (circuit, stats))
   |> Resilience.Outcome.map (fun mapped ->
-         { (finish b.flow u mapped) with remap = !info })
+         { (packaged u mapped) with remap = !info })

@@ -5,19 +5,23 @@
     bubble-pushes it into unate form, and maps it:
 
     - {!domino_map}: the bulk-CMOS baseline — PBE-oblivious DP mapping,
-      then p-discharge transistors inserted by post-processing;
-    - {!rs_map}: baseline mapping, series stacks reordered toward ground,
-      then discharge insertion ([Rearrange_Stacks_Map], Table I);
+      each gate then given the p-discharge transistors its stacks need;
+    - {!rs_map}: baseline mapping, each gate's series stacks reordered
+      toward ground before its discharges are placed
+      ([Rearrange_Stacks_Map], Table I);
     - {!soi_domino_map}: the paper's algorithm — discharge transistors
-      participate in the cost during mapping (Tables II-IV).
+      participate in the cost during mapping (Tables II-IV), and the
+      stacks get the same final reorder.
+
+    The engine emits every gate in this final form ({!Engine.finish});
+    a flow is only its {!options_of}.
 
     This module is the pipeline driver: [soimap], the daemon, the paper
-    tables and the golden corpus all build [prepare → map | remap →
-    postprocess] through it, under the defaults of
-    {!Engine.default_options}.  Surfaces that map one network several
-    times (the tables' flows per row, the objective sweep, a remap
-    loop) prepare it once and call {!map_outcome} or {!remap} on the
-    result. *)
+    tables and the golden corpus all build [prepare → map | remap]
+    through it, under the defaults of {!Engine.default_options}.
+    Surfaces that map one network several times (the tables' flows per
+    row, the objective sweep, a remap loop) prepare it once and call
+    {!map_outcome} or {!remap} on the result. *)
 
 type flow =
   | Domino_map
@@ -60,8 +64,10 @@ val options_of :
   ?pareto_width:int ->
   flow ->
   Engine.options
-(** The engine options a flow runs under ([Bulk] style for the two
-    baselines, [Soi] for the paper's flow).  Every omitted field is
+(** The engine options a flow runs under: [Bulk] style for the two
+    baselines, [Soi] for the paper's flow, and [rearrange] for [Rs_map]
+    and [Soi_domino_map], so [options_of Soi_domino_map] is
+    {!Engine.default_options}.  Every omitted field is
     {!Engine.default_options}'s — the one place the flow defaults live
     ([w_max] 5, [h_max] 8, area cost, both series orders, grounded foot,
     one tuple per slot).  Exposed so out-of-band passes over the same
@@ -81,7 +87,7 @@ val map_outcome :
   result Resilience.Outcome.t
 (** The pipeline's one mapping body: [map_outcome flow u] maps the
     prepared network [u] through [flow] — the engine under
-    {!options_of}, then the flow's {!postprocess} and the counts.
+    {!options_of}, then the counts.
     [memo] threads a structural cache into {!Engine.map} (see {!Memo}
     for the transparency guarantee).  [rewrite] (default 0 = off)
     enables the choice-aware rewriting front end with that many
@@ -91,7 +97,7 @@ val map_outcome :
     original.  When the DP sweep exhausts [budget] (default
     unlimited), [`Degrade] (default) reruns it as {!Engine.map_greedy}
     — the result is flagged [Degraded] but is still a complete,
-    verified mapping with the flow's postprocess applied — while
+    verified mapping of finished gates — while
     [`Fail] returns [Failed].  Never raises
     {!Resilience.Budget.Exhausted}. *)
 
@@ -137,9 +143,10 @@ val soi_domino_map :
   ?cost:Cost.model -> ?w_max:int -> ?h_max:int -> Logic.Network.t -> result
 
 val postprocess : flow -> Domino.Circuit.t -> Domino.Circuit.t
-(** The flow-specific post-mapping pass the driver applies (discharge
-    insertion for [Domino_map], stack rearrangement for the other
-    two). *)
+(** [postprocess flow c] applies {!Engine.finish} under
+    [options_of flow] to every gate of [c].  The driver does not call
+    it, since the engine's gates are already finished; it remains only
+    for soibench's one-shot layer split. *)
 
 (** {2 Incremental remapping}
 

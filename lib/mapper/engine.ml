@@ -11,6 +11,7 @@ type options = {
   both_orders : bool;
   grounded_at_foot : bool;
   pareto_width : int;
+  rearrange : bool;
 }
 
 let default_options =
@@ -22,6 +23,7 @@ let default_options =
     both_orders = true;
     grounded_at_foot = true;
     pareto_width = 1;
+    rearrange = true;
   }
 
 type stats = {
@@ -55,16 +57,20 @@ let m_gates = Obs.Metrics.counter "mapper.gates"
 let m_discharges = Obs.Metrics.counter "mapper.discharges"
 let m_greedy_fallback = Obs.Metrics.counter "mapper.greedy_fallback"
 
-let h_frontier =
-  Obs.Metrics.histogram ~buckets:[| 1; 2; 4; 8; 16; 32; 64 |]
-    "mapper.frontier_size"
-
-let h_p_dis =
-  Obs.Metrics.histogram ~buckets:[| 0; 1; 2; 4; 8; 16 |] "mapper.p_dis"
-
-(* [par_b] is a boolean shape flag, so the histogram is a two-bucket
-   true/false tally. *)
-let h_par_b = Obs.Metrics.histogram ~buckets:[| 0; 1 |] "mapper.par_b"
+(* The form a gate ships in: its PDN reordered when the options ask
+   for it (the paper's Rearrange_Stacks, Table I), then the discharge
+   transistors the Fig. 4/5 rules commit on that final PDN. *)
+let finish options (g : Domino_gate.t) =
+  let pdn =
+    if options.rearrange then Reorder.rearrange g.Domino_gate.pdn
+    else g.Domino_gate.pdn
+  in
+  {
+    g with
+    Domino_gate.pdn;
+    discharge_points =
+      Pbe_analysis.discharge_points ~grounded:options.grounded_at_foot pdn;
+  }
 
 (* [greedy = true] is the degradation rung: every node offers its
    consumers only the formed gate tuple, exactly as if it had multiple
@@ -525,10 +531,11 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
           [ ("hits", string_of_int hits); ("misses", string_of_int misses) ])
         (fun () -> ()));
 
-  (* Materialise the gates reachable from the primary outputs.  A
-     gate's PDN is its tuple's derivation resolved against the network:
-     a leaf is the literal or gate of the fanin that offered it, a
-     composition at node [v] takes its operands from [v]'s fanins. *)
+  (* Materialise the gates reachable from the primary outputs, each
+     once and in its final form ([finish]).  A gate's PDN is its
+     tuple's derivation resolved against the network: a leaf is the
+     literal or gate of the fanin that offered it, a composition at
+     node [v] takes its operands from [v]'s fanins. *)
   let circuit_gates = Logic.Vec.create () in
   let circuit_id = Array.make !next_alt (-1) in
   let broken v =
@@ -610,22 +617,16 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
                             .Domino_gate.level)
                       0 fanins
                 in
-                let discharge_points =
-                  match options.style with
-                  | Bulk -> []
-                  | Soi ->
-                      Pbe_analysis.discharge_points
-                        ~grounded:options.grounded_at_foot pdn
-                in
                 circuit_id.(m) <-
                   Logic.Vec.push circuit_gates
-                    {
-                      Domino_gate.id = Logic.Vec.length circuit_gates;
-                      pdn;
-                      footed = gi.gi_footed;
-                      discharge_points;
-                      level;
-                    };
+                    (finish options
+                       {
+                         Domino_gate.id = Logic.Vec.length circuit_gates;
+                         pdn;
+                         footed = gi.gi_footed;
+                         discharge_points = [];
+                         level;
+                       });
                 stack := rest
             | deps -> stack := deps @ !stack
           end
@@ -667,21 +668,7 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
       (fun g ->
         Obs.Metrics.add m_discharges
           (List.length g.Domino_gate.discharge_points))
-      circuit.Circuit.gates;
-    Array.iter
-      (fun table ->
-        let frontier =
-          Array.fold_left
-            (fun acc cands -> acc + List.length cands)
-            0 table
-        in
-        Obs.Metrics.observe h_frontier frontier;
-        Array.iter
-          (List.iter (fun (s : Soi_rules.sol) ->
-               Obs.Metrics.observe h_p_dis s.Soi_rules.p_dis;
-               Obs.Metrics.observe h_par_b (if s.Soi_rules.par_b then 1 else 0)))
-          table)
-      tables
+      circuit.Circuit.gates
   end;
   ( circuit,
     {

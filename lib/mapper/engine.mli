@@ -20,7 +20,13 @@
     path, so potential discharge points vanish and only committed
     p-discharge transistors are kept (set [grounded_at_foot = false] to
     study the pessimistic alternative — an ablation, not the paper's
-    semantics). *)
+    semantics).
+
+    Every materialised gate goes through one per-gate {!finish}: its
+    series stacks are reordered when [rearrange] is set, and its
+    discharge transistors are those the structural analysis commits on
+    that final PDN.  So the circuit {!map} returns is final for every
+    style. *)
 
 type style =
   | Bulk  (** no PBE bookkeeping; fixed series order (fanin 0 on top) *)
@@ -43,11 +49,24 @@ type options = {
           tuple, cost then p_dis tie-break); larger values keep a Pareto
           frontier over (cost, p_dis, par_b), trading mapping time for
           solution quality — an extension evaluated as an ablation *)
+  rearrange : bool;
+      (** reorder every emitted gate's series stacks with
+          {!Domino.Reorder.rearrange} before its discharges are analysed
+          (the paper's [Rearrange_Stacks]: RS_Map's pass, and the SOI
+          flow's final polish).  It changes no DP choice, only the
+          emitted stack order and the discharges that follow from it *)
 }
 
 val default_options : options
 (** [{w_max = 5; h_max = 8; style = Soi; cost = Cost.area;
-     both_orders = true; grounded_at_foot = true; pareto_width = 1}]. *)
+     both_orders = true; grounded_at_foot = true; pareto_width = 1;
+     rearrange = true}]: exactly the [SOI_Domino_Map] flow's options. *)
+
+val finish : options -> Domino.Domino_gate.t -> Domino.Domino_gate.t
+(** [finish options g] is [g] in the form {!map} emits it: its PDN
+    reordered when [options.rearrange] is set, and its discharge points
+    {!Domino.Pbe_analysis.discharge_points}
+    [~grounded:options.grounded_at_foot] of that final PDN. *)
 
 type stats = {
   nodes_processed : int;
@@ -67,9 +86,9 @@ val map :
   Domino.Circuit.t * stats
 (** [map options u] maps the unate network to a domino circuit.  The
     result is functionally equivalent to [u] (checked by the test-suite)
-    and, for [Soi], already carries its p-discharge transistors.  For
-    [Bulk] the circuit carries none; apply {!Postprocess.insert_discharges}
-    to obtain a correct SOI implementation.
+    and final: every gate went through {!finish}, so under either style
+    it carries the p-discharge transistors a correct SOI implementation
+    of its stacks needs.
     Constant primary outputs (possible when the source network contains
     constant nets that fold through to an output) are tied to the rail:
     they appear as [Pdn.S_const] output bindings with no gate behind
@@ -109,7 +128,8 @@ val map_with_gates :
     boundary (multi-fanout or output-driving node) of a completed
     sweep; [None] for interior nodes whose gate no consumer forced.
     This is the exact-optimality certifier's view of the DP answer
-    ({!Opt.Certify}): per-cone, pre-postprocess. *)
+    ({!Opt.Certify}): per cone, as the DP priced it, before {!finish}
+    reorders the emitted stacks. *)
 
 val map_greedy : options -> Unate.Unetwork.t -> Domino.Circuit.t * stats
 (** The degradation rung under {!map}: every node offers its consumers

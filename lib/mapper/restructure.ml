@@ -38,10 +38,9 @@ let salt_of ~limit =
 
 let default_limit = 8
 
-(* Price one candidate: map, postprocess, weigh. *)
-let price ?budget ?memo ~salt ~postprocess options net =
-  let circuit, stats = Engine.map ?budget ?memo ~memo_salt:salt options net in
-  let circuit = postprocess circuit in
+(* Weigh one mapping.  The engine's circuit is final, so this prices
+   exactly what the flow emits. *)
+let priced options (circuit, stats) =
   ( circuit,
     stats,
     circuit_cost options.Engine.cost (Domino.Circuit.counts circuit) )
@@ -49,14 +48,15 @@ let price ?budget ?memo ~salt ~postprocess options net =
 (* Fold the variant list over an already-mapped original.  A budget
    trip here abandons the remaining variants: the original is in hand,
    so losing choices is a quality degradation, not an error. *)
-let try_variants ?budget ?memo ~salt ~postprocess options variants base =
+let try_variants ?budget ?memo ~salt options variants base =
   let best = ref base in
   (try
      List.iter
        (fun (v : Rewrite.Choices.variant) ->
          let circuit, stats, cost =
-           price ?budget ?memo ~salt ~postprocess options
-             v.Rewrite.Choices.v_net
+           priced options
+             (Engine.map ?budget ?memo ~memo_salt:salt options
+                v.Rewrite.Choices.v_net)
          in
          let b = !best in
          best :=
@@ -111,26 +111,13 @@ let span ~limit u body =
       ])
     body
 
-let map_best ?budget ?memo ?(limit = default_limit) ~postprocess options u =
-  span ~limit u @@ fun () ->
-  let salt = salt_of ~limit in
-  let variants = Rewrite.Choices.enumerate ?budget ~limit u in
-  let base =
-    base_outcome ~salt ~generated:(List.length variants) u
-      (price ?budget ?memo ~salt ~postprocess options u)
-  in
-  try_variants ?budget ?memo ~salt ~postprocess options variants base
-
 let map_best_outcome ?budget ?memo ?(on_exhaust = `Degrade)
-    ?(limit = default_limit) ~postprocess options u =
+    ?(limit = default_limit) options u =
   span ~limit u @@ fun () ->
   let salt = salt_of ~limit in
   let variants = Rewrite.Choices.enumerate ?budget ~limit u in
-  let priced (circuit, stats) =
-    let circuit = postprocess circuit in
-    ( circuit,
-      stats,
-      circuit_cost options.Engine.cost (Domino.Circuit.counts circuit) )
+  let base r =
+    base_outcome ~salt ~generated:(List.length variants) u (priced options r)
   in
   match
     Engine.map_outcome ?budget ?memo ~memo_salt:salt ~on_exhaust options u
@@ -140,11 +127,14 @@ let map_best_outcome ?budget ?memo ?(on_exhaust = `Degrade)
       (* The budget is spent; no variant could be mapped under the full
          algorithm, so the portfolio collapses to the degraded
          original. *)
-      Resilience.Outcome.Degraded
-        (base_outcome ~salt ~generated:(List.length variants) u (priced r), ds)
+      Resilience.Outcome.Degraded (base r, ds)
   | Resilience.Outcome.Ok r ->
-      let base =
-        base_outcome ~salt ~generated:(List.length variants) u (priced r)
-      in
       Resilience.Outcome.Ok
-        (try_variants ?budget ?memo ~salt ~postprocess options variants base)
+        (try_variants ?budget ?memo ~salt options variants (base r))
+
+let map_best ?budget ?memo ?limit options u =
+  match map_best_outcome ?budget ?memo ~on_exhaust:`Fail ?limit options u with
+  | Resilience.Outcome.Ok r -> r
+  | Resilience.Outcome.Failed reason ->
+      raise (Resilience.Budget.Exhausted reason)
+  | Resilience.Outcome.Degraded _ -> assert false

@@ -3,8 +3,9 @@
     [map_best] sits between unate decomposition and the DP engine: it
     asks the rewriting layer ({!Rewrite.Choices}) for up to [limit]
     algebraic restructurings of the input, prices the original and
-    every variant with the {e same} engine options, postprocess and
-    cost model, and keeps the cheapest mapped circuit.  Ties go to the
+    every variant with the {e same} engine options and cost model, and
+    keeps the cheapest mapped circuit.  {!Engine.map}'s circuit is
+    final, so each candidate is priced as the flow would emit it.  Ties go to the
     original (then to the earliest variant), so enabling rewriting can
     never regress a mapping.
 
@@ -33,7 +34,7 @@ type info = {
 }
 
 type outcome = {
-  circuit : Domino.Circuit.t;  (** postprocessed winner *)
+  circuit : Domino.Circuit.t;  (** the winner, as {!Engine.map} emits it *)
   stats : Engine.stats;  (** the winning run's engine stats *)
   chosen : Unate.Unetwork.t;  (** the network actually mapped *)
   info : info;
@@ -54,13 +55,11 @@ val map_best :
   ?budget:Resilience.Budget.t ->
   ?memo:Memo.t ->
   ?limit:int ->
-  postprocess:(Domino.Circuit.t -> Domino.Circuit.t) ->
   Engine.options ->
   Unate.Unetwork.t ->
   outcome
-(** [map_best ~postprocess options u] maps [u] and up to [limit]
-    (default 8) rewritten variants, applying [postprocess] (the flow's
-    discharge/rearrangement pass) before pricing each candidate.
+(** [map_best options u] maps [u] and up to [limit] (default 8)
+    rewritten variants and keeps the cheapest.
     @raise Resilience.Budget.Exhausted only if the budget trips while
     mapping the {e original} (variant failures degrade). *)
 
@@ -69,7 +68,6 @@ val map_best_outcome :
   ?memo:Memo.t ->
   ?on_exhaust:[ `Fail | `Degrade ] ->
   ?limit:int ->
-  postprocess:(Domino.Circuit.t -> Domino.Circuit.t) ->
   Engine.options ->
   Unate.Unetwork.t ->
   outcome Resilience.Outcome.t

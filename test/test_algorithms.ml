@@ -1,6 +1,7 @@
 open Mapper
 
 let circuits = [ "cm150"; "z4ml"; "cordic"; "frg1"; "count"; "9symml"; "c880"; "c432" ]
+let flows = [ Algorithms.Domino_map; Algorithms.Rs_map; Algorithms.Soi_domino_map ]
 
 let test_all_flows_equivalent () =
   List.iter
@@ -16,7 +17,7 @@ let test_all_flows_equivalent () =
           match Domino.Circuit.validate r.Algorithms.circuit with
           | Ok () -> ()
           | Error e -> Alcotest.fail (name ^ ": " ^ e))
-        [ Algorithms.Domino_map; Algorithms.Rs_map; Algorithms.Soi_domino_map ])
+        flows)
     circuits
 
 let test_unate_matches_source () =
@@ -91,20 +92,52 @@ let test_clock_weighting_reduces_clock_load () =
         (k4.Domino.Circuit.t_clock <= k1.Domino.Circuit.t_clock))
     [ "9symml"; "c880"; "count" ]
 
-let test_postprocess_strip () =
-  let net = Gen.Suite.build_exn "c880" in
-  let r = Algorithms.domino_map net in
-  let stripped = Postprocess.strip_discharges r.Algorithms.circuit in
-  Alcotest.(check int) "no discharges left" 0
-    (Domino.Circuit.counts stripped).Domino.Circuit.t_disch
+(* Every flow's circuit against a reference built in two steps: an
+   engine map that leaves the stacks as the DP ordered them, then per
+   gate the stack reorder (RS_Map and SOI_Domino_Map only) and the
+   grounded discharge analysis of the reordered PDN. *)
+let test_finish_matches_reference () =
+  let open Domino in
+  List.iter
+    (fun name ->
+      let u = Algorithms.prepare (Gen.Suite.build_exn name) in
+      List.iter
+        (fun flow ->
+          let options = Algorithms.options_of flow in
+          let raw, _ = Engine.map { options with Engine.rearrange = false } u in
+          let pass (g : Domino_gate.t) =
+            let pdn =
+              if flow = Algorithms.Domino_map then g.Domino_gate.pdn
+              else Reorder.rearrange g.Domino_gate.pdn
+            in
+            {
+              g with
+              Domino_gate.pdn;
+              discharge_points = Pbe_analysis.discharge_points ~grounded:true pdn;
+            }
+          in
+          let reference =
+            { raw with Circuit.gates = Array.map pass raw.Circuit.gates }
+          in
+          Alcotest.(check string)
+            (name ^ "/" ^ Algorithms.flow_name flow)
+            (Circuit.dump reference)
+            (Circuit.dump (Algorithms.map flow u).Algorithms.circuit))
+        flows)
+    [ "cm150"; "z4ml"; "count"; "c432"; "c880"; "frg1" ]
 
-let test_postprocess_insert_idempotent () =
-  let net = Gen.Suite.build_exn "c880" in
-  let r = Algorithms.domino_map net in
-  let again = Postprocess.insert_discharges r.Algorithms.circuit in
-  Alcotest.(check int) "idempotent"
-    (Domino.Circuit.counts r.Algorithms.circuit).Domino.Circuit.t_disch
-    (Domino.Circuit.counts again).Domino.Circuit.t_disch
+(* The engine's defaults are the paper's flow, circuit for circuit. *)
+let test_soi_flow_is_default () =
+  Alcotest.(check bool) "options_of Soi_domino_map = default_options" true
+    (Algorithms.options_of Algorithms.Soi_domino_map = Engine.default_options);
+  List.iter
+    (fun name ->
+      let u = Algorithms.prepare (Gen.Suite.build_exn name) in
+      Alcotest.(check string) name
+        (Domino.Circuit.dump (fst (Engine.map Engine.default_options u)))
+        (Domino.Circuit.dump
+           (Algorithms.map Algorithms.Soi_domino_map u).Algorithms.circuit))
+    [ "z4ml"; "c880" ]
 
 let test_custom_wh () =
   let net = Gen.Suite.build_exn "z4ml" in
@@ -125,9 +158,10 @@ let suite =
     Alcotest.test_case "depth cost reduces levels" `Quick test_depth_cost_reduces_levels;
     Alcotest.test_case "clock weighting reduces clock load" `Quick
       test_clock_weighting_reduces_clock_load;
-    Alcotest.test_case "strip discharges" `Quick test_postprocess_strip;
-    Alcotest.test_case "insert discharges idempotent" `Quick
-      test_postprocess_insert_idempotent;
+    Alcotest.test_case "finish matches reorder then analysis" `Quick
+      test_finish_matches_reference;
+    Alcotest.test_case "soi flow is the default options" `Quick
+      test_soi_flow_is_default;
     Alcotest.test_case "custom W/H" `Quick test_custom_wh;
   ]
 

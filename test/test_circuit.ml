@@ -123,6 +123,18 @@ let test_gate_accessors () =
   Alcotest.(check int) "clock" 2 (Domino_gate.clock_transistors g);
   Alcotest.(check int) "total" 7 (Domino_gate.total_transistors g)
 
+let test_strip_discharges () =
+  let c =
+    (Mapper.Algorithms.domino_map (Gen.Suite.build_exn "c880"))
+      .Mapper.Algorithms.circuit
+  in
+  let before = Circuit.counts c in
+  let after = Circuit.counts (Circuit.strip_discharges c) in
+  Alcotest.(check bool) "the mapping has discharges" true
+    (before.Circuit.t_disch > 0);
+  Alcotest.(check int) "no discharges left" 0 after.Circuit.t_disch;
+  Alcotest.(check int) "logic kept" before.Circuit.t_logic after.Circuit.t_logic
+
 let suite =
   [
     Alcotest.test_case "counts" `Quick test_counts;
@@ -138,4 +150,5 @@ let suite =
       test_validate_rejects_missing_foot;
     Alcotest.test_case "validate rejects bad level" `Quick test_validate_rejects_bad_level;
     Alcotest.test_case "gate accessors" `Quick test_gate_accessors;
+    Alcotest.test_case "strip discharges" `Quick test_strip_discharges;
   ]

@@ -148,10 +148,7 @@ let test_stripped_discharges_expose_pbe () =
     match Fuzz.gen_unetwork rng 400 with
     | None, _ -> ()
     | Some (u, _, _), _ ->
-        let cfg =
-          { Gen_config.default with Gen_config.rearrange = false }
-        in
-        let circuit = Oracle.build u cfg in
+        let circuit = Oracle.build u Gen_config.default in
         let n = Array.length circuit.Domino.Circuit.input_names in
         let stimulus =
           Sim.Domino_sim.hold_strike_stimulus ~rng ~pairs:24 n
@@ -204,8 +201,8 @@ let test_shrink_simplifies_config () =
               grounded_at_foot = false;
               pareto_width = 4;
               cost = Mapper.Cost.clock_weighted 2;
+              rearrange = true;
             };
-          rearrange = true;
           rewrite = 0;
         }
       in
@@ -217,7 +214,8 @@ let test_shrink_simplifies_config () =
       Alcotest.(check int) "h_max minimal" 2 c.Gen_config.opts.Mapper.Engine.h_max;
       Alcotest.(check int) "pareto_width minimal" 1
         c.Gen_config.opts.Mapper.Engine.pareto_width;
-      Alcotest.(check bool) "rearrange off" false c.Gen_config.rearrange
+      Alcotest.(check bool) "rearrange off" false
+        c.Gen_config.opts.Mapper.Engine.rearrange
 
 (* with_structure is the shrinker's substrate: bypassing a node must
    preserve the semantics of untouched outputs. *)

@@ -110,7 +110,7 @@ let test_unprotected_bulk_fails_somewhere () =
       (fun name ->
         let net = Gen.Suite.build_exn name in
         let r = Mapper.Algorithms.domino_map net in
-        let stripped = Mapper.Postprocess.strip_discharges r.Mapper.Algorithms.circuit in
+        let stripped = Domino.Circuit.strip_discharges r.Mapper.Algorithms.circuit in
         not (Sim.Domino_sim.pbe_free ~cycles:512 stripped))
       [ "cm150"; "c880"; "b9" ]
   in

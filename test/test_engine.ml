@@ -77,18 +77,39 @@ let test_circuit_validates () =
         [ Engine.Bulk; Engine.Soi ])
     [ "cm150"; "z4ml"; "count"; "c432"; "frg1" ]
 
+(* Every style, reordered or not, grounded or not: each emitted gate
+   carries exactly the discharges the analysis commits on its final
+   PDN. *)
 let test_soi_discharges_match_analysis () =
   let u = Algorithms.prepare (Gen.Suite.build_exn "c880") in
-  let c, _ = Engine.map Engine.default_options u in
-  Array.iter
-    (fun g ->
-      let expect =
-        Domino.Pbe_analysis.discharge_points ~grounded:true g.Domino.Domino_gate.pdn
+  List.iter
+    (fun (style, rearrange, grounded_at_foot) ->
+      let options =
+        { Engine.default_options with Engine.style; rearrange; grounded_at_foot }
       in
-      Alcotest.(check int) "discharge points match analysis"
-        (List.length expect)
-        (List.length g.Domino.Domino_gate.discharge_points))
-    c.Domino.Circuit.gates
+      let c, _ = Engine.map options u in
+      let ctx =
+        Printf.sprintf "%s rearrange=%b grounded=%b"
+          (match style with Engine.Bulk -> "bulk" | Engine.Soi -> "soi")
+          rearrange grounded_at_foot
+      in
+      Array.iter
+        (fun g ->
+          if
+            g.Domino.Domino_gate.discharge_points
+            <> Domino.Pbe_analysis.discharge_points ~grounded:grounded_at_foot
+                 g.Domino.Domino_gate.pdn
+          then
+            Alcotest.failf "%s: gate %d discharges differ from analysis" ctx
+              g.Domino.Domino_gate.id)
+        c.Domino.Circuit.gates)
+    (List.concat_map
+       (fun style ->
+         List.concat_map
+           (fun rearrange ->
+             List.map (fun grounded -> (style, rearrange, grounded)) [ true; false ])
+           [ true; false ])
+       [ Engine.Bulk; Engine.Soi ])
 
 let test_multi_fanout_shared () =
   (* g = a*b feeds two consumers: it must be materialised exactly once. *)

@@ -39,7 +39,7 @@ let test_discharge_reduces_exposure () =
     (fun name ->
       let r = Mapper.Algorithms.soi_domino_map (Gen.Suite.build_exn name) in
       let m = Hysteresis.of_circuit r.Mapper.Algorithms.circuit in
-      let stripped = Mapper.Postprocess.strip_discharges r.Mapper.Algorithms.circuit in
+      let stripped = Domino.Circuit.strip_discharges r.Mapper.Algorithms.circuit in
       let ms = Hysteresis.of_circuit stripped in
       Alcotest.(check bool) (name ^ " exposure grows when stripped") true
         (ms.Hysteresis.exposed >= m.Hysteresis.exposed);

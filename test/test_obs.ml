@@ -75,6 +75,10 @@ let test_json_long_string () =
     let minor, promoted, major = Gc.counters () in
     minor +. major -. promoted
   in
+  (* Start from a collected heap: a minor collection and the end of a
+     major cycle inside the window, timed by what earlier tests left
+     behind, otherwise add about 120k minor words to the count. *)
+  Gc.full_major ();
   let w0 = allocated () in
   let got = Obs.Json.parse doc in
   let words = allocated () -. w0 in
@@ -612,18 +616,22 @@ let run_lines cmd =
   | Unix.WEXITED 0 -> lines
   | _ -> Alcotest.fail ("command failed: " ^ cmd)
 
+(* The stdout lines of a [--stats=json] run and its one JSON line. *)
+let stats_run cmd =
+  let lines = run_lines cmd in
+  match List.filter (fun l -> String.length l > 0 && l.[0] = '{') lines with
+  | [ l ] -> (lines, Obs.Json.parse_exn l)
+  | _ -> Alcotest.fail "expected exactly one JSON stats line"
+
+let metric doc path =
+  Option.bind (Obs.Json.member "metrics" doc) (Obs.Json.member path)
+  |> Fun.flip Option.bind Obs.Json.to_int
+
 let test_cli_stats_json () =
-  let lines = run_lines "../bin/soimap.exe --bench cm150 --stats=json 2>/dev/null" in
-  let json_line =
-    match List.filter (fun l -> String.length l > 0 && l.[0] = '{') lines with
-    | [ l ] -> l
-    | _ -> Alcotest.fail "expected exactly one JSON stats line"
+  let _, doc =
+    stats_run "../bin/soimap.exe --bench cm150 --stats=json 2>/dev/null"
   in
-  let doc = Obs.Json.parse_exn json_line in
-  let int_member path =
-    Option.bind (Obs.Json.member "metrics" doc) (Obs.Json.member path)
-    |> Fun.flip Option.bind Obs.Json.to_int
-  in
+  let int_member = metric doc in
   Alcotest.(check bool) "mapper.gates counted" true
     (match int_member "mapper.gates" with Some n -> n > 0 | None -> false);
   Alcotest.(check bool) "gc section present" true
@@ -634,6 +642,28 @@ let test_cli_stats_json () =
     (match Option.bind (Obs.Json.member "spans" doc) Obs.Json.to_list with
     | Some (_ :: _) -> true
     | _ -> false)
+
+(* [mapper.discharges] counts the discharges of the circuits the mapper
+   emits: over every flow, the sum of the Tdisch values soimap prints. *)
+let test_cli_discharges_metric () =
+  let lines, doc =
+    stats_run
+      "../bin/soimap.exe --bench des --flow all --stats=json 2>/dev/null"
+  in
+  let printed =
+    List.fold_left
+      (fun acc l ->
+        List.fold_left
+          (fun acc tok ->
+            match String.split_on_char '=' tok with
+            | [ "Tdisch"; n ] -> acc + int_of_string n
+            | _ -> acc)
+          acc (String.split_on_char ' ' l))
+      0 lines
+  in
+  Alcotest.(check bool) "three flows printed discharges" true (printed > 0);
+  Alcotest.(check (option int)) "mapper.discharges = sum of Tdisch"
+    (Some printed) (metric doc "mapper.discharges")
 
 let test_cli_trace_file () =
   let path = Filename.temp_file "soimap" "-trace.json" in
@@ -719,5 +749,6 @@ let suite =
     Alcotest.test_case "trace streaming sink" `Quick test_trace_streaming;
     Alcotest.test_case "cli stats json" `Slow test_cli_stats_json;
     Alcotest.test_case "cli trace file" `Slow test_cli_trace_file;
+    Alcotest.test_case "cli discharges metric" `Slow test_cli_discharges_metric;
     Alcotest.test_case "gc deltas are per-domain" `Quick test_gcstats_per_domain;
   ]

@@ -250,13 +250,11 @@ let soi_options =
   Algorithms.options_of ~cost:Cost.area ~w_max:5 ~h_max:8 ~both_orders:true
     ~grounded_at_foot:true ~pareto_width:1 Algorithms.Soi_domino_map
 
-let soi_post = Postprocess.rearrange_stacks
-
 let test_map_best_never_regresses () =
   let rng = Logic.Rng.create 0xBE57 in
   for i = 0 to 59 do
     let u = gen_unet rng in
-    let r = Restructure.map_best ~postprocess:soi_post soi_options u in
+    let r = Restructure.map_best soi_options u in
     let ctx = Printf.sprintf "net %d" i in
     if r.Restructure.info.Restructure.cost
        > r.Restructure.info.Restructure.original_cost
@@ -284,7 +282,7 @@ let test_map_best_improves () =
   List.iter
     (fun bench ->
       let u = u_of (Gen.Suite.build_exn bench) in
-      let r = Restructure.map_best ~postprocess:soi_post soi_options u in
+      let r = Restructure.map_best soi_options u in
       let i = r.Restructure.info in
       if i.Restructure.cost >= i.Restructure.original_cost then
         Alcotest.failf "%s: expected a rewrite win, got %d -> %d" bench
@@ -297,7 +295,7 @@ let test_map_best_tie_keeps_original () =
   (* fig3 has one 4-leaf cone; no rewrite can beat the optimal mapping,
      so the original must win and [chosen] must be [u] itself. *)
   let u = u_of (Gen.Suite.build_exn "fig3") in
-  let r = Restructure.map_best ~postprocess:soi_post soi_options u in
+  let r = Restructure.map_best soi_options u in
   Alcotest.(check bool)
     "original wins ties" true
     (r.Restructure.info.Restructure.chosen_rule = None
@@ -311,10 +309,10 @@ let test_memo_transparent_and_salted () =
   let rng = Logic.Rng.create 0x5A17 in
   for i = 0 to 19 do
     let u = gen_unet rng in
-    let fresh = Restructure.map_best ~postprocess:soi_post soi_options u in
+    let fresh = Restructure.map_best soi_options u in
     let memo = Memo.create () in
-    let cold = Restructure.map_best ~memo ~postprocess:soi_post soi_options u in
-    let warm = Restructure.map_best ~memo ~postprocess:soi_post soi_options u in
+    let cold = Restructure.map_best ~memo soi_options u in
+    let warm = Restructure.map_best ~memo soi_options u in
     let ctx = Printf.sprintf "net %d" i in
     if cold.Restructure.circuit <> fresh.Restructure.circuit then
       Alcotest.failf "%s: memoized portfolio differs from fresh" ctx;
