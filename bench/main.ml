@@ -277,10 +277,11 @@ let remap_benches =
    the whole-network fast path, which allocates nothing per cone.  The
    edit pair is the edit loop itself: remapping each fresh edit of
    [des_edits] against the des baseline, against a memo-free map of the
-   same edits.  The front end's pair is every word (minor and major)
-   that parsing the seed-42 des edit allocates per byte of its BLIF,
-   and that preparing it allocates per parsed node; the registry holds
-   integers, so these two are rounded up. *)
+   same edits, under the area model and again under depth_soi.  The
+   front end's pair is every word (minor and major) that parsing the
+   seed-42 des edit allocates per byte of its BLIF, and that preparing
+   it allocates per parsed node; the registry holds integers, so these
+   two are rounded up. *)
 let publish_alloc_evidence () =
   let opts = Mapper.Engine.default_options in
   let des_unate = Mapper.Algorithms.prepare (Gen.Suite.build_exn "des") in
@@ -309,6 +310,14 @@ let publish_alloc_evidence () =
     per_cone edits (fun u -> ignore (Mapper.Engine.remap edit_st u))
   in
   let edit_free = per_cone edits (fun u -> ignore (Mapper.Engine.map opts u)) in
+  let depth = { opts with Mapper.Engine.cost = Mapper.Cost.depth_soi } in
+  let depth_st, _ = Mapper.Engine.remap_init depth des_unate in
+  let edit_remap_depth =
+    per_cone edits (fun u -> ignore (Mapper.Engine.remap depth_st u))
+  in
+  let edit_free_depth =
+    per_cone edits (fun u -> ignore (Mapper.Engine.map depth u))
+  in
   let c name v =
     Obs.Metrics.add (Obs.Metrics.counter name) (int_of_float v)
   in
@@ -335,13 +344,18 @@ let publish_alloc_evidence () =
   c "bench.minor_words_per_cone_warm_remap(des)" warm_des;
   c "bench.minor_words_per_cone_edit_remap(des)" edit_remap;
   c "bench.minor_words_per_cone_edit_memo_free(des)" edit_free;
+  c "bench.minor_words_per_cone_edit_remap_depth(des)" edit_remap_depth;
+  c "bench.minor_words_per_cone_edit_memo_free_depth(des)" edit_free_depth;
   Printf.printf
     "alloc: minor words per mapped cone — des cold %.0f, des warm remap \
-     %.2f (%.0fx); fresh des edits: remap %.0f vs memo-free %.0f (%.2fx)\n%!"
+     %.2f (%.0fx); fresh des edits: remap %.0f vs memo-free %.0f (%.2fx), \
+     under depth_soi %.0f vs %.0f (%.2fx)\n%!"
     cold_des warm_des
     (cold_des /. Float.max warm_des 0.01)
     edit_remap edit_free
-    (edit_remap /. Float.max edit_free 0.01);
+    (edit_remap /. Float.max edit_free 0.01)
+    edit_remap_depth edit_free_depth
+    (edit_remap_depth /. Float.max edit_free_depth 0.01);
   Printf.printf
     "alloc: front end on the des edit — parse %.2f words/byte, prepare \
      %.1f words/parsed node\n%!"

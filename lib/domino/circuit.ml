@@ -29,12 +29,17 @@ let counts c =
     | Pdn.S_pi { input; positive = false } -> Hashtbl.replace neg_lits input ()
     | Pdn.S_pi _ | Pdn.S_gate _ | Pdn.S_const _ -> ()
   in
+  (* In place: [Pdn.signals] would build two lists per gate. *)
+  let rec note_leaves = function
+    | Pdn.Leaf s -> note_signal s
+    | Pdn.Series (a, b) | Pdn.Parallel (a, b) -> note_leaves a; note_leaves b
+  in
   Array.iter
     (fun g ->
       t_logic := !t_logic + Domino_gate.logic_transistors g;
       t_disch := !t_disch + Domino_gate.discharge_transistors g;
       t_clock := !t_clock + Domino_gate.clock_transistors g;
-      List.iter note_signal (Pdn.signals g.Domino_gate.pdn))
+      note_leaves g.Domino_gate.pdn)
     c.gates;
   Array.iter (fun (_, s) -> note_signal s) c.outputs;
   let levels =

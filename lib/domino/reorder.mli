@@ -15,7 +15,11 @@
     function, the transistor count, or the [{W, H}] footprint. *)
 
 val rearrange : Pdn.t -> Pdn.t
-(** [rearrange p] is the reordered PDN. *)
+(** [rearrange p] is the reordered PDN.  It is not idempotent: on a tie
+    it sinks the first factor with the largest saving, so applying it
+    again may sink another factor of equal saving, and only the
+    discharge count is sure to stay the same.  The mapping flow applies
+    it once per gate ([Mapper.Engine.finish]). *)
 
 val savings : grounded:bool -> Pdn.t -> int
 (** [savings ~grounded p] is the reduction in required discharge

@@ -323,31 +323,7 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
              id options.w_max options.h_max)
   in
 
-  (* Formed-gate alternatives for single-fanout drivers under a depth
-     objective.  With [depth_factor = 0] the formed key totally orders a
-     node's formed candidates, so committing to the single
-     [Cost.compare_values] winner is exact.  With a depth term the
-     candidates are only partially ordered — [weighted] composes by [+]
-     but [depth] by [max], so a deeper-but-lighter formed gate and a
-     shallower-but-heavier one each win beside different siblings — and
-     the exact oracle proved the single commitment drops the optimum
-     (fuzz seed 1, run 230).  Each alternative is registered here under a
-     synthetic gate id (>= node count), and its leaf tuple's derivation
-     is [Formed id], so the winning structure names the exact gate it
-     was costed with and [materialise] emits that one. *)
-  let alt_gates : (int, gate_info) Hashtbl.t = Hashtbl.create 16 in
-  let next_alt = ref n in
-  let register_alt info =
-    let id = !next_alt in
-    incr next_alt;
-    Hashtbl.replace alt_gates id info;
-    id
-  in
-
-  let gate_of id =
-    if id >= n then Hashtbl.find alt_gates id
-    else match gates.(id) with Some g -> g | None -> form_gate id
-  in
+  let gate_of id = match gates.(id) with Some g -> g | None -> form_gate id in
 
   (* Candidate tuples a fanin offers to its consumer.  A leaf names no
      signal, so every literal offers the same tuple. *)
@@ -384,11 +360,20 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
             [ gate_sol ] tables.(m)
         end
         else begin
-          (* Depth objective: offer one formed alternative per distinct
-             formation cost vector, each under its own synthetic id (see
-             [register_alt]).  Deduplication keeps the first structure
-             per vector — alternatives equal on every cost coordinate
-             are interchangeable downstream. *)
+          (* Depth objective: formed-gate alternatives.  With
+             [depth_factor = 0] the formed key totally orders a node's
+             formed candidates, so the single [Cost.compare_values]
+             winner above is exact.  With a depth term they are only
+             partially ordered — [weighted] composes by [+] but [depth]
+             by [max], so a deeper-but-lighter formed gate and a
+             shallower-but-heavier one each win beside different
+             siblings — and the exact oracle proved the single
+             commitment drops the optimum (fuzz seed 1, run 230).  So
+             offer one alternative per distinct formation cost vector,
+             the first structure per vector (equal vectors are
+             interchangeable downstream).  Its leaf, [Formed s], names
+             the tuple of [m]'s table it is formed over, so
+             [materialise] emits the very gate it was costed with. *)
           let seen = Hashtbl.create 8 in
           let alts =
             Array.fold_left
@@ -405,12 +390,11 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
                     if Hashtbl.mem seen k then acc
                     else begin
                       Hashtbl.replace seen k ();
-                      let fid = register_alt info in
                       {
                         (Soi_rules.leaf_gate model ~level:info.gi_level
                            ~carried:info.gi_value ~carried_disch:info.gi_disch)
                         with
-                        Soi_rules.structure = Soi_rules.Formed fid;
+                        Soi_rules.structure = Soi_rules.Formed s;
                       }
                       :: acc
                     end)
@@ -424,14 +408,11 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
   in
 
   (* The memo session, opened only for full (non-greedy) sweeps with a
-     table supplied.  Depth objectives bypass the cache: their tables
-     reference the run-local synthetic gate ids of formed-gate
-     alternatives, which are meaningless in any other run (see
-     [register_alt]).  [layers] = [(shared, prev)] makes [memo] a remap
+     table supplied.  [layers] = [(shared, prev)] makes [memo] a remap
      overlay ({!Memo.start}). *)
   let mrun =
     match memo with
-    | Some tbl when (not greedy) && model.Cost.depth_factor = 0 ->
+    | Some tbl when not greedy ->
         let under, prev =
           match layers with
           | Some (shared, prev) -> (Some shared, Some prev)
@@ -537,24 +518,33 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
      literal or gate of the fanin that offered it, a composition at
      node [v] takes its operands from [v]'s fanins. *)
   let circuit_gates = Logic.Vec.create () in
-  let circuit_id = Array.make !next_alt (-1) in
+  let circuit_id = Array.make n (-1) in
   let broken v =
     invalid_arg
       (Printf.sprintf "Engine.materialise: malformed derivation at node %d" v)
   in
-  (* The gate ids (unate node, or formed alternative) that gate the
-     transistors of node [v]'s tuple [s]. *)
+  (* The gates that gate the transistors of node [v]'s tuple [s], as
+     sort keys: [m] for the gate of a fanin [m] offered as a leaf, and
+     [n * (1 + 2v + pos) + m] for the formed alternative of [m] offered
+     at fanin [pos] of [v].  [m] then has one consumer, so this is the
+     one form of [m] that reaches the circuit: its gate is recorded in
+     [gates.(m)] and the key names [m] ([node_of]).  The key sorts the
+     alternative after every plain gate, by consumer and fanin
+     position, which fixes the order the gates are emitted in. *)
+  let node_of k = k mod n in
   let rec fanin_gates v (s : Soi_rules.sol) acc =
     let nd = Unetwork.node u v in
     match s.Soi_rules.structure with
     | Soi_rules.Parallel (a, b) | Soi_rules.Series (a, b) ->
-        offered v nd.Unetwork.fanin0 a (offered v nd.Unetwork.fanin1 b acc)
+        offered v 0 nd.Unetwork.fanin0 a (offered v 1 nd.Unetwork.fanin1 b acc)
     | Soi_rules.Series_flipped (a, b) ->
-        offered v nd.Unetwork.fanin1 a (offered v nd.Unetwork.fanin0 b acc)
+        offered v 1 nd.Unetwork.fanin1 a (offered v 0 nd.Unetwork.fanin0 b acc)
     | Soi_rules.Leaf | Soi_rules.Formed _ -> broken v
-  and offered v fin (s : Soi_rules.sol) acc =
+  and offered v pos fin (s : Soi_rules.sol) acc =
     match (s.Soi_rules.structure, fin) with
-    | Soi_rules.Formed k, _ -> k :: acc
+    | Soi_rules.Formed f, Unetwork.F_node m ->
+        gates.(m) <- Some (form_info m f);
+        ((n * (1 + (2 * v) + pos)) + m) :: acc
     | Soi_rules.Leaf, Unetwork.F_node m -> m :: acc
     | Soi_rules.Leaf, Unetwork.F_lit _ -> acc
     | _, Unetwork.F_node m -> fanin_gates m s acc
@@ -575,22 +565,28 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
     | Soi_rules.Leaf | Soi_rules.Formed _ -> broken v
   and offered_pdn v fin (s : Soi_rules.sol) =
     match (s.Soi_rules.structure, fin) with
-    | Soi_rules.Formed k, _ -> Pdn.Leaf (Pdn.S_gate circuit_id.(k))
-    | Soi_rules.Leaf, Unetwork.F_node m -> Pdn.Leaf (Pdn.S_gate circuit_id.(m))
+    | (Soi_rules.Leaf | Soi_rules.Formed _), Unetwork.F_node m ->
+        Pdn.Leaf (Pdn.S_gate circuit_id.(m))
     | Soi_rules.Leaf, Unetwork.F_lit { input; positive } ->
         Pdn.Leaf (Pdn.S_pi { input; positive })
     | _, Unetwork.F_node m -> pdn m s
     | _, (Unetwork.F_lit _ | Unetwork.F_const _) -> broken v
   in
-  (* A gate's sorted fanin gate ids, kept from its first visit for its
-     last. *)
-  let fanins_of = Array.make !next_alt None in
+  (* A gate's sorted fanin keys, kept from its first visit for its
+     last.  The filter and the fold over them are closures built once
+     per map, not once per gate. *)
+  let fanins_of = Array.make n None in
+  let unbuilt q = circuit_id.(node_of q) < 0 in
+  let deeper acc q =
+    max acc (Logic.Vec.get circuit_gates circuit_id.(node_of q)).Domino_gate.level
+  in
   let materialise root =
     let stack = ref [ root ] in
     while !stack <> [] do
       match !stack with
       | [] -> ()
-      | m :: rest ->
+      | k :: rest ->
+          let m = node_of k in
           if circuit_id.(m) >= 0 then stack := rest
           else begin
             let gi = gate_of m in
@@ -605,18 +601,10 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
                   fanins_of.(m) <- Some fanins;
                   fanins
             in
-            match List.filter (fun q -> circuit_id.(q) < 0) fanins with
+            match List.filter unbuilt fanins with
             | [] ->
                 let pdn = pdn gi.gi_node gi.gi_sol in
-                let level =
-                  1
-                  + List.fold_left
-                      (fun acc q ->
-                        max acc
-                          (Logic.Vec.get circuit_gates circuit_id.(q))
-                            .Domino_gate.level)
-                      0 fanins
-                in
+                let level = 1 + List.fold_left deeper 0 fanins in
                 circuit_id.(m) <-
                   Logic.Vec.push circuit_gates
                     (finish options

@@ -218,9 +218,8 @@ val remap :
 (** Map an edited network against the warm state.  The result (circuit
     and stats except [combinations_tried]) is identical to a cold
     {!map} with the same options; [combinations_tried] drops to the
-    dirty cones' share.  Depth-objective cost models bypass the memo
-    (see {!Memo}), so they remap correctly but without warm splicing.
-    Updates the state's fingerprint to [u] and replaces its overlay.
+    dirty cones' share.  Updates the state's fingerprint to [u] and
+    replaces its overlay.
 
     A network structurally identical to the previous one (exact: names,
     outputs, node array — re-parsed payloads qualify, the daemon's

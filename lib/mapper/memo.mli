@@ -49,9 +49,8 @@
     A table is safe to share across domains (sharded, mutex-protected,
     immutable entries).  When two domains store one key at once, the
     first publication wins and both get its id.  The greedy degradation
-    sweep ({!Engine.map_greedy}) and depth objectives bypass the cache
-    entirely: greedy changes the mapping-boundary rule, and depth
-    objectives offer run-local formed-gate alternatives.
+    sweep ({!Engine.map_greedy}) bypasses the cache entirely: it changes
+    the mapping-boundary rule.
 
     Persistent caches ([soimap --cache]) use a versioned binary format
     with a magic header and a payload digest; see docs/mapping-cache.md.

@@ -11,7 +11,7 @@ type sol = {
 
 and structure =
   | Leaf
-  | Formed of int
+  | Formed of sol
   | Parallel of sol * sol
   | Series of sol * sol
   | Series_flipped of sol * sol

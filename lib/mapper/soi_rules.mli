@@ -38,9 +38,10 @@ and structure =
       (** one transistor driven by the fanin that offered the tuple: a
           primary-input literal, a boundary gate, or the formed gate of
           a single-fanout fanin *)
-  | Formed of int
-      (** one transistor driven by a formed-gate alternative the engine
-          registered under this run-local id (depth objectives only) *)
+  | Formed of sol
+      (** one transistor driven by the gate a single-fanout fanin forms
+          over this tuple of its own table: a formed-gate alternative
+          (depth objectives only) *)
   | Parallel of sol * sol
       (** the node's fanin-0 operand beside its fanin-1 operand *)
   | Series of sol * sol

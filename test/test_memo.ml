@@ -30,6 +30,9 @@ let gen_unet rng =
 
 let test_equiv_sampled () =
   let rng = Logic.Rng.create 0x3E30 in
+  (* Depth worlds go through the memo too: some sampled depth
+     configuration must really store tables. *)
+  let depth_misses = ref 0 in
   for i = 0 to 209 do
     let u = gen_unet rng in
     let cfg = Check.Gen_config.sample rng in
@@ -37,6 +40,8 @@ let test_equiv_sampled () =
     let plain_c, plain_s = Engine.map opts u in
     let memo = Memo.create () in
     let memo_c, memo_s = Engine.map ~memo opts u in
+    if opts.Engine.cost.Cost.depth_factor > 0 then
+      depth_misses := !depth_misses + (Memo.stats memo).Memo.misses;
     let ctx = Printf.sprintf "net %d (%s)" i (Check.Gen_config.describe cfg) in
     if plain_c <> memo_c then
       Alcotest.failf "%s: memoized circuit differs from plain" ctx;
@@ -57,7 +62,9 @@ let test_equiv_sampled () =
       if not (equiv_verdict v) then
         Alcotest.failf "%s: memoized circuit not equivalent to source" ctx
     end
-  done
+  done;
+  Alcotest.(check bool) "some depth configuration stored tables" true
+    (!depth_misses > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Warm reuse and identity erasure.                                    *)
@@ -229,30 +236,43 @@ let temp_path suffix =
 
 let test_persistent_roundtrip () =
   let u = Algorithms.prepare (Gen.Suite.build_exn "cordic") in
-  let m1 = Memo.create () in
-  let cold, _ = Engine.map ~memo:m1 Engine.default_options u in
-  let file = temp_path ".cache" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
-    (fun () ->
-      (match Memo.save m1 file with
-      | Resilience.Outcome.Ok bytes ->
-          Alcotest.(check bool) "payload non-empty" true (bytes > 0)
-      | o -> Alcotest.failf "save: %s" (Resilience.Outcome.label o));
-      let m2 = Memo.create () in
-      (match Memo.load m2 file with
-      | Resilience.Outcome.Ok n ->
-          Alcotest.(check int) "all entries loaded" (Memo.entry_count m1) n
-      | o -> Alcotest.failf "load: %s" (Resilience.Outcome.label o));
-      let warm, _ = Engine.map ~memo:m2 Engine.default_options u in
-      Alcotest.(check bool) "warm-from-disk equals cold" true (cold = warm);
-      let s = Memo.stats m2 in
-      Alcotest.(check int) "no misses from a full cache" 0 s.Memo.misses;
-      Alcotest.(check bool) "hits from a full cache" true (s.Memo.hits > 0);
-      (* reloading the same file is idempotent *)
-      match Memo.load m2 file with
-      | Resilience.Outcome.Ok 0 -> ()
-      | o -> Alcotest.failf "reload not idempotent: %s" (Resilience.Outcome.describe o))
+  (* A depth world round-trips like the area one: its tables hold
+     formed-gate alternatives, whose leaves name a tuple, not a run. *)
+  List.iter
+    (fun cost ->
+      let opts = { Engine.default_options with Engine.cost } in
+      let check what = cost.Cost.name ^ ": " ^ what in
+      let m1 = Memo.create () in
+      let cold, _ = Engine.map ~memo:m1 opts u in
+      let file = temp_path ".cache" in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+        (fun () ->
+          (match Memo.save m1 file with
+          | Resilience.Outcome.Ok bytes ->
+              Alcotest.(check bool) (check "payload non-empty") true (bytes > 0)
+          | o -> Alcotest.failf "save: %s" (Resilience.Outcome.label o));
+          let m2 = Memo.create () in
+          (match Memo.load m2 file with
+          | Resilience.Outcome.Ok n ->
+              Alcotest.(check int) (check "all entries loaded")
+                (Memo.entry_count m1) n
+          | o -> Alcotest.failf "load: %s" (Resilience.Outcome.label o));
+          let warm, _ = Engine.map ~memo:m2 opts u in
+          Alcotest.(check bool) (check "warm-from-disk equals cold") true
+            (cold = warm);
+          let s = Memo.stats m2 in
+          Alcotest.(check int) (check "no misses from a full cache") 0
+            s.Memo.misses;
+          Alcotest.(check bool) (check "hits from a full cache") true
+            (s.Memo.hits > 0);
+          (* reloading the same file is idempotent *)
+          match Memo.load m2 file with
+          | Resilience.Outcome.Ok 0 -> ()
+          | o ->
+              Alcotest.failf "reload not idempotent: %s"
+                (Resilience.Outcome.describe o)))
+    [ Cost.area; Cost.depth_soi ]
 
 (* Loading re-interns entry ids: a file saved from one network merges
    into a table that already holds another network's entries, and the

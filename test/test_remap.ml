@@ -260,15 +260,20 @@ let test_accumulating_chain_stays_warm () =
     [ ("e1", i1); ("e1+e2", i2); ("e1+e2+e3", i3) ];
   Alcotest.(check bool) "the chain really edited" true (i1.Engine.dirty_cones > 0)
 
-(* Depth objectives bypass the memo; remap must still be correct. *)
+(* Depth tables name no run either (a formed alternative's leaf names
+   its tuple), so a depth remap splices its clean cones from the memo
+   and recomputes only inside the dirty ones, as an area remap does. *)
 let test_depth_model_remap () =
-  let u0 = Algorithms.prepare (Gen.Suite.build_exn "z4ml") in
+  let u0 = Algorithms.prepare (Gen.Suite.build_exn "c880") in
   let opts = { Engine.default_options with Engine.cost = Cost.depth_soi } in
   let st, _ = Engine.remap_init opts u0 in
   let u1 = Check.Edit.apply ~seed:5 u0 in
   let _, info = check_remap ~ctx:"depth-model remap" ~opts st u1 in
-  Alcotest.(check int) "no memo traffic under depth models" 0
-    (info.Engine.memo_hits + info.Engine.memo_misses)
+  Alcotest.(check bool) "a depth remap hits the memo" true
+    (info.Engine.memo_hits > 0);
+  if info.Engine.memo_misses > info.Engine.dirty_cones then
+    Alcotest.failf "depth-model remap: %d misses exceed %d dirty cones"
+      info.Engine.memo_misses info.Engine.dirty_cones
 
 (* The driver's remap under a tripped budget: whether the base's build
    or the remap against a built base trips, [on_exhaust] decides as it

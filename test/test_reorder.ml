@@ -81,12 +81,14 @@ let test_reorder_inside_parallel_branch () =
     (Pbe_analysis.discharge_count ~grounded:true r);
   Alcotest.(check bool) "same logic" true (same_function p r)
 
-let test_idempotent () =
+(* [rearrange] is not idempotent on ties (reorder.mli); reapplying it
+   keeps the discharge count. *)
+let test_reapply_keeps_discharges () =
   let stack = Pdn.Parallel (Pdn.Series (pi 0, pi 1), pi 2) in
   let p = Pdn.Series (stack, Pdn.Series (pi 3, pi 4)) in
   let once = Reorder.rearrange p in
   let twice = Reorder.rearrange once in
-  Alcotest.(check int) "idempotent on discharge count"
+  Alcotest.(check int) "reapplying keeps the discharge count"
     (Pbe_analysis.discharge_count ~grounded:true once)
     (Pbe_analysis.discharge_count ~grounded:true twice)
 
@@ -97,5 +99,6 @@ let suite =
     Alcotest.test_case "largest stack sinks" `Quick test_chain_picks_largest;
     Alcotest.test_case "savings non-negative" `Quick test_savings_nonnegative;
     Alcotest.test_case "recurses into branches" `Quick test_reorder_inside_parallel_branch;
-    Alcotest.test_case "idempotent" `Quick test_idempotent;
+    Alcotest.test_case "reapplying keeps discharge count" `Quick
+      test_reapply_keeps_discharges;
   ]
