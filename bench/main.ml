@@ -281,7 +281,9 @@ let remap_benches =
    front end's pair is every word (minor and major) that parsing the
    seed-42 des edit allocates per byte of its BLIF, and that preparing
    it allocates per parsed node; the registry holds integers, so these
-   two are rounded up. *)
+   two are rounded up.  The warm driver map is every minor word of one
+   [Algorithms.map] of des through a memo that has mapped it before:
+   the sweep's hits plus each gate's finish. *)
 let publish_alloc_evidence () =
   let opts = Mapper.Engine.default_options in
   let des_unate = Mapper.Algorithms.prepare (Gen.Suite.build_exn "des") in
@@ -318,6 +320,19 @@ let publish_alloc_evidence () =
   let edit_free_depth =
     per_cone edits (fun u -> ignore (Mapper.Engine.map depth u))
   in
+  let warm_memo = Mapper.Memo.create () in
+  let driver_map () =
+    ignore
+      (Mapper.Algorithms.map ~memo:warm_memo Mapper.Algorithms.Soi_domino_map
+         des_unate)
+  in
+  driver_map ();
+  let warm_driver =
+    Gc.full_major ();
+    let w0 = Gc.minor_words () in
+    driver_map ();
+    Gc.minor_words () -. w0
+  in
   let c name v =
     Obs.Metrics.add (Obs.Metrics.counter name) (int_of_float v)
   in
@@ -346,6 +361,7 @@ let publish_alloc_evidence () =
   c "bench.minor_words_per_cone_edit_memo_free(des)" edit_free;
   c "bench.minor_words_per_cone_edit_remap_depth(des)" edit_remap_depth;
   c "bench.minor_words_per_cone_edit_memo_free_depth(des)" edit_free_depth;
+  c "bench.minor_words_warm_driver_map(des)" warm_driver;
   Printf.printf
     "alloc: minor words per mapped cone — des cold %.0f, des warm remap \
      %.2f (%.0fx); fresh des edits: remap %.0f vs memo-free %.0f (%.2fx), \
@@ -359,7 +375,9 @@ let publish_alloc_evidence () =
   Printf.printf
     "alloc: front end on the des edit — parse %.2f words/byte, prepare \
      %.1f words/parsed node\n%!"
-    parse_per_byte prepare_per_node
+    parse_per_byte prepare_per_node;
+  Printf.printf "alloc: warm des map through the driver — %.0f minor words\n%!"
+    warm_driver
 
 let benchmark tests =
   let instances = Instance.[ monotonic_clock ] in

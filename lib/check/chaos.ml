@@ -192,9 +192,14 @@ let record tally = function
       | Ok "error" -> tally.t_errors <- tally.t_errors + 1
       | Ok _ | Error _ -> tally.t_transport <- tally.t_transport + 1)
 
+(* Remap bases for the storm: one more than the daemon's four baseline
+   slots, so remaps evict bases and rebuild them. *)
+let storm_bases = [| "cm150"; "mux"; "z4ml"; "cordic"; "frg1" |]
+
 (* One hostile client: a seeded mix of malformed frames, oversized
    payloads, mid-frame disconnects, budget-tripping and unparsable
-   cones, and legitimate maps.  One connection per action, so the
+   cones, remaps (against evicted, unparsable and budget-tripping
+   bases), and legitimate maps.  One connection per action, so the
    accept/close path is stormed too. *)
 let storm_worker ~addr ~oversize ~rounds ~seed tally =
   let rng = Logic.Rng.create seed in
@@ -208,7 +213,7 @@ let storm_worker ~addr ~oversize ~rounds ~seed tally =
     record tally (Service.Client.request c line)
   in
   for _ = 1 to rounds do
-    match Logic.Rng.int rng 8 with
+    match Logic.Rng.int rng 11 with
     | 0 ->
         (* malformed json *)
         with_conn (fun c -> expect c "]]]{{{ not json")
@@ -249,6 +254,23 @@ let storm_worker ~addr ~oversize ~rounds ~seed tally =
         with_conn (fun c ->
             expect c
               {|{"id":"deg","op":"map","format":"suite","payload":"c880","max_tuples":1}|})
+    | 7 ->
+        (* remap against one of five bases in four slots *)
+        with_conn (fun c ->
+            expect c
+              (Printf.sprintf
+                 {|{"id":"rb","op":"remap","format":"suite","base":"%s","payload":"z4ml"}|}
+                 storm_bases.(Logic.Rng.int rng (Array.length storm_bases))))
+    | 8 ->
+        (* unparsable base: failed, isolated to this request *)
+        with_conn (fun c ->
+            expect c
+              {|{"id":"rjunk","op":"remap","format":"blif","base":".model x\n.inputs a\n.outputs z\n.names a a a z\nBOGUS\n.end","payload":".model y\n.inputs a\n.outputs z\n.names a z\n1 1\n.end"}|})
+    | 9 ->
+        (* a base build that trips its budget under fail: no entry kept *)
+        with_conn (fun c ->
+            expect c
+              {|{"id":"rtrip","op":"remap","format":"suite","base":"c880","payload":"z4ml","max_tuples":1,"on_exhaust":"fail"}|})
     | _ ->
         with_conn (fun c ->
             expect c

@@ -94,8 +94,11 @@ val daemon_storm :
     (default 12) seeded actions: malformed frames, requests with invalid
     budget limits, oversized payloads, mid-frame disconnects,
     budget-tripping cones under both exhaustion policies, unparsable
-    payloads and legitimate maps — one connection per action, so the
-    accept path is churned too.
+    payloads, remaps (against five suite bases, more than the daemon's
+    four baseline slots, so bases are evicted and rebuilt; against an
+    unparsable base; and against a base whose build trips its budget
+    under [on_exhaust = fail]) and legitimate maps — one connection per
+    action, so the accept path is churned too.
 
     Without [addr], a daemon is started in-process on a private Unix
     socket with a deliberately tight config (queue 8, 64 KiB frames)

@@ -59,8 +59,8 @@ val has_pi_leaf : t -> bool
     (such gates need an n-clock foot transistor). *)
 
 val series_junctions : t -> path list
-(** [series_junctions p] is every series junction path, in a deterministic
-    order. *)
+(** [series_junctions p] is every series junction path, in pre-order,
+    which is ascending [compare] order. *)
 
 val eval : (signal -> bool) -> t -> bool
 (** [eval env p] is the steady-state conduction of the PDN: [true] iff an

@@ -13,7 +13,17 @@
    queue mutex.  A domain blocked in [wait_done] has no claimed-but-
    unfinished index of any batch (it finishes each steal before looking
    for the next), so every claimed index is on some live domain's stack
-   and fork-join nesting cannot deadlock. *)
+   and fork-join nesting cannot deadlock.
+
+   A one-task batch is handed off when a worker sleeps: the submitter
+   promises the task to that worker and waits on [done_] without
+   helping, which frees its domain for its other systhreads (the
+   daemon's dispatchers and readers share domain 0).  Promises are
+   counted under the pool mutex, [idle] sleeping workers against the
+   queued [handoffs], so two submitters never hand to the same worker.
+   A worker takes queued hand-offs before anything else and before it
+   exits, so a promised task always reaches a live domain, and shutdown
+   never strands one. *)
 
 type batch = {
   run : int -> unit;  (* execute task [i]; may raise *)
@@ -63,6 +73,10 @@ type t = {
   work : Condition.t;  (* new batch published / shutdown *)
   done_ : Condition.t;  (* some batch finished a task *)
   mutable queue : batch list;  (* batches with unclaimed indices *)
+  mutable handoffs : batch list;
+      (* one-task batches promised to sleeping workers, oldest first;
+         their submitters do not help *)
+  mutable idle : int;  (* workers asleep on [work] *)
   mutable stop : bool;
   mutable workers : unit Domain.t list;
   st_tasks : int Atomic.t;
@@ -156,18 +170,27 @@ let credit p b executed =
     Mutex.unlock p.mutex
   end
 
+let run_unlocked p b =
+  Mutex.unlock p.mutex;
+  credit p b (drain_timed p b);
+  Mutex.lock p.mutex
+
 let worker_loop p =
   Mutex.lock p.mutex;
-  while not p.stop do
-    (* Drop fully-claimed batches, then pick one with work left. *)
-    p.queue <- List.filter (fun b -> Atomic.get b.next < b.size) p.queue;
-    match p.queue with
-    | b :: _ ->
-        Mutex.unlock p.mutex;
-        let executed = drain_timed p b in
-        credit p b executed;
-        Mutex.lock p.mutex
-    | [] -> Condition.wait p.work p.mutex
+  while not (p.stop && p.handoffs = []) do
+    match p.handoffs with
+    | b :: rest ->
+        p.handoffs <- rest;
+        run_unlocked p b
+    | [] -> (
+        (* Drop fully-claimed batches, then pick one with work left. *)
+        p.queue <- List.filter (fun b -> Atomic.get b.next < b.size) p.queue;
+        match p.queue with
+        | b :: _ -> run_unlocked p b
+        | [] ->
+            p.idle <- p.idle + 1;
+            Condition.wait p.work p.mutex;
+            p.idle <- p.idle - 1)
   done;
   Mutex.unlock p.mutex
 
@@ -180,6 +203,8 @@ let create ~jobs:n =
       work = Condition.create ();
       done_ = Condition.create ();
       queue = [];
+      handoffs = [];
+      idle = 0;
       stop = false;
       workers = [];
       st_tasks = Atomic.make 0;
@@ -201,54 +226,78 @@ let shutdown p =
   p.workers <- [];
   List.iter Domain.join ws
 
+(* The serial path: one domain, no batch record. *)
+let map_inline p f arr =
+  let n = Array.length arr in
+  let t0 = Obs.Clock.now_ns () in
+  let r = Array.map f arr in
+  let dt = max 0 (Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) t0)) in
+  ignore (Atomic.fetch_and_add p.st_tasks n);
+  ignore (Atomic.fetch_and_add p.st_busy_ns dt);
+  Obs.Metrics.add m_tasks n;
+  Obs.Metrics.add m_busy dt;
+  r
+
+(* Publish [b] under the pool mutex: a many-task batch on the run queue,
+   a one-task batch as a hand-off when a sleeping worker is not yet
+   promised one.  [false] means [b] was not published. *)
+let publish p b =
+  Mutex.lock p.mutex;
+  let depth =
+    if b.size > 1 then begin
+      p.queue <- b :: p.queue;
+      Condition.broadcast p.work;
+      List.length p.queue
+    end
+    else if (not p.stop) && p.idle > List.length p.handoffs then begin
+      p.handoffs <- p.handoffs @ [ b ];
+      Condition.signal p.work;
+      List.length p.queue + List.length p.handoffs
+    end
+    else 0
+  in
+  Mutex.unlock p.mutex;
+  if depth > 0 then begin
+    atomic_max p.st_peak_queue depth;
+    Obs.Metrics.observe_max m_queue_peak depth
+  end;
+  depth > 0
+
 let map p f arr =
   let n = Array.length arr in
   if n = 0 then [||]
-  else if p.n_jobs = 1 || n = 1 then begin
-    ignore (Atomic.fetch_and_add p.st_batches 1);
-    Obs.Metrics.incr m_batches;
-    let t0 = Obs.Clock.now_ns () in
-    let r = Array.map f arr in
-    let dt = max 0 (Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) t0)) in
-    ignore (Atomic.fetch_and_add p.st_tasks n);
-    ignore (Atomic.fetch_and_add p.st_busy_ns dt);
-    Obs.Metrics.add m_tasks n;
-    Obs.Metrics.add m_busy dt;
-    r
-  end
   else begin
-    let results = Array.make n None in
-    let run i = results.(i) <- Some (f arr.(i)) in
-    let b =
-      {
-        run;
-        size = n;
-        submitter = (Domain.self () :> int);
-        next = Atomic.make 0;
-        cancelled = Atomic.make false;
-        failure = Atomic.make None;
-        finished = 0;
-      }
-    in
     ignore (Atomic.fetch_and_add p.st_batches 1);
     Obs.Metrics.incr m_batches;
-    Mutex.lock p.mutex;
-    p.queue <- b :: p.queue;
-    let depth = List.length p.queue in
-    Condition.broadcast p.work;
-    Mutex.unlock p.mutex;
-    atomic_max p.st_peak_queue depth;
-    Obs.Metrics.observe_max m_queue_peak depth;
-    let executed = drain_timed p b in
-    credit p b executed;
-    Mutex.lock p.mutex;
-    while b.finished < b.size do
-      Condition.wait p.done_ p.mutex
-    done;
-    Mutex.unlock p.mutex;
-    match Atomic.get b.failure with
-    | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> Array.map (function Some v -> v | None -> assert false) results
+    if p.n_jobs = 1 then map_inline p f arr
+    else begin
+      let results = Array.make n None in
+      let b =
+        {
+          run = (fun i -> results.(i) <- Some (f arr.(i)));
+          size = n;
+          submitter = (Domain.self () :> int);
+          next = Atomic.make 0;
+          cancelled = Atomic.make false;
+          failure = Atomic.make None;
+          finished = 0;
+        }
+      in
+      if not (publish p b) then map_inline p f arr
+      else begin
+        (* The submitter helps with its many-task batch; a hand-off is
+           left to its worker. *)
+        if n > 1 then credit p b (drain_timed p b);
+        Mutex.lock p.mutex;
+        while b.finished < b.size do
+          Condition.wait p.done_ p.mutex
+        done;
+        Mutex.unlock p.mutex;
+        match Atomic.get b.failure with
+        | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
+        | None -> Array.map (function Some v -> v | None -> assert false) results
+      end
+    end
   end
 
 let map_list p f l = Array.to_list (map p f (Array.of_list l))

@@ -1,10 +1,14 @@
 (** A small fork-join domain pool on the OCaml 5 runtime.
 
     The pool owns [jobs - 1] long-lived worker domains; the domain that
-    submits a batch always participates in executing it (caller
-    helping), so a pool of size 1 spawns no domains at all and
+    submits a many-task batch always participates in executing it
+    (caller helping), so a pool of size 1 spawns no domains at all and
     [map]/[map_list] degenerate to the plain serial [Array.map]/
-    [List.map] code path.
+    [List.map] code path.  A one-task batch is handed to a sleeping
+    worker when there is one, and its submitter waits without holding
+    its domain: systhreads that share the submitter's domain (the
+    daemon's dispatchers and connection readers) keep running while
+    the task runs elsewhere.  With no sleeping worker it runs inline.
 
     Scheduling is work-stealing over a shared run queue: a submitted
     batch is published once, and every idle domain — the submitter
@@ -76,7 +80,11 @@ val stats : t -> stats
 
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map pool f arr] is [Array.map f arr] with the applications spread
-    across the pool.  Result order is input order. *)
+    across the pool.  Result order is input order.  Only
+    [Domain.self ()] inside [f] tells a handed-off task from an inline
+    one: its exception re-raises in the submitter with its backtrace,
+    it is accounted in {!stats} like any batch (a steal, as it runs off
+    the submitter's domain), and it may itself call [map]. *)
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_list pool f l] is [List.map f l] via {!map}. *)

@@ -136,6 +136,103 @@ let test_nested_maps () =
     (Array.init 5 (fun i -> (80 * i) + 28))
     out
 
+(* Submit the one-task batch [f] until it lands off this domain: a
+   hand-off needs a sleeping worker, and a fresh worker, or one that has
+   just finished, may still be on its way to sleep.  [f] answers [None]
+   when it ran inline. *)
+let until_handed_off pool f =
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let rec go () =
+    match Parallel.Pool.map pool f [| () |] with
+    | [| Some v |] -> v
+    | _ when Unix.gettimeofday () > deadline ->
+        Alcotest.fail "no one-task batch was handed off in 5 s"
+    | _ ->
+        Thread.delay 0.002;
+        go ()
+  in
+  go ()
+
+let off_domain self = (Domain.self () :> int) <> self
+
+(* The daemon's path: a one-task batch on a 2-job pool whose worker is
+   asleep runs on the worker's domain, and the batch contract holds. *)
+let test_handoff () =
+  with_pool 2 @@ fun pool ->
+  let self = (Domain.self () :> int) in
+  let s0 = Parallel.Pool.stats pool in
+  Alcotest.(check int) "returned its value" 21
+    (until_handed_off pool (fun () -> if off_domain self then Some (7 * 3) else None));
+  let s1 = Parallel.Pool.stats pool in
+  let d f = f s1 - f s0 in
+  Alcotest.(check int) "one task per batch"
+    (d (fun s -> s.Parallel.Pool.batches))
+    (d (fun s -> s.Parallel.Pool.tasks_run));
+  Alcotest.(check bool) "the hand-off counts as a steal" true
+    (d (fun s -> s.Parallel.Pool.steals) >= 1);
+  (match
+     until_handed_off pool (fun () ->
+         if off_domain self then failwith "handed off" else None)
+   with
+  | () -> Alcotest.fail "expected the handed-off task's exception"
+  | exception Failure msg -> Alcotest.(check string) "re-raised" "handed off" msg);
+  (* A handed-off task may itself map: 16 tasks, on the worker alone
+     while the submitter sleeps. *)
+  Alcotest.(check int) "nested batch complete" 1240
+    (until_handed_off pool (fun () ->
+         if off_domain self then
+           Some
+             (Array.fold_left ( + ) 0
+                (Parallel.Pool.map pool (fun j -> j * j) (Array.init 16 Fun.id)))
+         else None))
+
+(* Two systhreads on one domain each submit a one-task batch: one hands
+   off to the sleeping worker, the other runs inline, so the two tasks
+   run at once on two domains.  Each task waits (yielding its domain)
+   until both have started.  A round where the worker was not yet back
+   asleep runs both inline; the pool must manage two domains within a
+   few rounds. *)
+let test_handoff_two_domains () =
+  with_pool 2 @@ fun pool ->
+  let round () =
+    let self = (Domain.self () :> int) in
+    ignore (until_handed_off pool (fun () -> if off_domain self then Some () else None));
+    Thread.delay 0.02;
+    let started = Atomic.make 0 in
+    let domains = Array.make 2 (-1) in
+    let task k () =
+      Atomic.incr started;
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      while Atomic.get started < 2 && Unix.gettimeofday () < deadline do
+        Thread.yield ()
+      done;
+      domains.(k) <- (Domain.self () :> int)
+    in
+    let threads =
+      Array.init 2 (fun k ->
+          Thread.create (fun () -> ignore (Parallel.Pool.map pool (task k) [| () |])) ())
+    in
+    Array.iter Thread.join threads;
+    Atomic.get started = 2 && domains.(0) <> domains.(1)
+  in
+  let rec go n = n > 0 && (round () || go (n - 1)) in
+  Alcotest.(check bool) "two one-task maps ran on two domains" true (go 20)
+
+(* Shutdown never strands a promised task: whichever way the race with
+   a hand-off goes, every submitter gets its value back. *)
+let test_handoff_shutdown () =
+  for i = 1 to 20 do
+    let pool = Parallel.Pool.create ~jobs:2 in
+    Thread.delay (0.001 *. float_of_int (i mod 4));
+    let got = ref 0 in
+    let th =
+      Thread.create (fun () -> got := (Parallel.Pool.map pool succ [| 41 |]).(0)) ()
+    in
+    Parallel.Pool.shutdown pool;
+    Thread.join th;
+    Alcotest.(check int) "answered" 42 !got
+  done
+
 let test_pool_stats () =
   (* Counter semantics on a quiesced pool.  The steal test forces work
      onto a non-submitting domain: task 0 spins until some other task
@@ -302,6 +399,9 @@ let suite =
     Alcotest.test_case "chaos pool storm" `Quick test_chaos_pool_storm;
     Alcotest.test_case "nested maps" `Quick test_nested_maps;
     Alcotest.test_case "pool stats" `Quick test_pool_stats;
+    Alcotest.test_case "one-task hand-off" `Quick test_handoff;
+    Alcotest.test_case "hand-offs on two domains" `Quick test_handoff_two_domains;
+    Alcotest.test_case "shutdown after a hand-off" `Quick test_handoff_shutdown;
     Alcotest.test_case "default pool" `Quick test_default_pool;
     Alcotest.test_case "fuzz determinism" `Slow test_fuzz_deterministic;
     Alcotest.test_case "fuzz timing block" `Quick test_fuzz_timing_present;
