@@ -179,8 +179,8 @@ let remap =
     & info [ "remap" ]
         ~doc:"Enable the incremental-remap leg: every passing run applies \
               a seeded local edit to its network and byte-compares a warm \
-              $(b,Engine.remap) (dirty-cone fingerprinting over a \
-              retained memo) against a cold full map of the edited \
+              $(b,Engine.remap) (re-pricing only the memo misses over \
+              a retained memo) against a cold full map of the edited \
               network.  Probe verdicts land in the report's remap block, \
               which is bit-identical at any --jobs value; any mismatch \
               makes the exit status 1.")

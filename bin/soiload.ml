@@ -63,8 +63,9 @@ let run_worker ~addr ~bench ~remap ~timeout ~delay_ms ~requests ~retries
            see exactly where request 3 of worker 7 spent its time. *)
         let tid = Printf.sprintf "w%d-%d" rng_seed i in
         (* --remap turns every frame into an edit/remap pair: the daemon
-           warm-maps BASE against its shared memo and remaps the payload's
-           dirty cones, so the ramp exercises the incremental path. *)
+           warm-maps BASE against its shared memo and re-prices only the
+           payload's memo misses, so the ramp exercises the incremental
+           path. *)
         let op, extra =
           match remap with
           | None -> ("map", "")

@@ -398,6 +398,11 @@ let main jobs blif bench_file pla bench flow cost w_max h_max rewrite remap_base
     prerr_endline "--jobs must be non-negative (0 = number of cores)";
     exit 2
   end;
+  if w_max < Mapper.Engine.min_bound || h_max < Mapper.Engine.min_bound then begin
+    Printf.eprintf "soimap: --w-max and --h-max must be at least %d\n"
+      Mapper.Engine.min_bound;
+    exit 2
+  end;
   (* Fail fast on nonsensical budget limits (--timeout 0, negative
      --max-tuples): a budget that can never admit any work is a usage
      error, not a mapping attempt that instantly degrades.  The server
@@ -543,18 +548,15 @@ let main jobs blif bench_file pla bench flow cost w_max h_max rewrite remap_base
             (Resilience.Budget.reason_to_string reason);
           exhausted := true
       | (Resilience.Outcome.Ok r | Resilience.Outcome.Degraded (r, _)) as o ->
-          (* The remap's dirty/clean accounting joins the cache chatter
-             on stderr, so stdout stays byte-identical to a plain map of
-             the main input. *)
+          (* The remap's re-priced/reused accounting joins the cache
+             chatter on stderr, so stdout stays byte-identical to a
+             plain map of the main input. *)
           Option.iter
             (fun (i : Mapper.Engine.remap_info) ->
               Printf.eprintf
-                "soimap: remap [%s]: %d dirty / %d clean cones, %d warm \
-                 hits, %d misses\n\
-                 %!"
+                "soimap: remap [%s]: %d re-priced / %d reused nodes\n%!"
                 (Mapper.Algorithms.flow_name f)
-                i.Mapper.Engine.dirty_cones i.Mapper.Engine.clean_cones
-                i.Mapper.Engine.memo_hits i.Mapper.Engine.memo_misses)
+                i.Mapper.Engine.dirty_cones i.Mapper.Engine.clean_cones)
             r.Mapper.Algorithms.remap;
           if
             not

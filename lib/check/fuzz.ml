@@ -82,14 +82,11 @@ let default_params =
 
 (* Fuzzer observability.  The per-run latency histogram is wall-clock
    and chunk-dependent (discarded-past-stop runs still execute and
-   observe), so it is registered unstable; the shrink-check counter is
-   driven by the serial, deterministic shrink phase and stays stable. *)
+   observe), so it is registered unstable. *)
 let h_run_ms =
   Obs.Metrics.histogram ~stable:false
     ~buckets:[| 1; 2; 5; 10; 20; 50; 100; 200; 500; 1000; 2000; 5000 |]
     "fuzz.run_ms"
-
-let m_shrink_checks = Obs.Metrics.counter "fuzz.shrink_checks"
 
 type net_shape = {
   ns_seed : int;
@@ -244,7 +241,7 @@ let exec_run params i =
                 else begin
                   inject ~site:"fuzz.remap";
                   (* Warm-vs-cold cross-check on a seeded local edit.
-                     Everything — the edit, the fingerprint verdicts,
+                     Everything — the edit, the re-priced counts,
                      the two circuits — is a pure function of
                      [(params, i)], so the block stays [-j]-invariant.
                      The probe gets its own memo: the run's table
@@ -264,8 +261,6 @@ let exec_run params i =
                       Report.r_probes = 1;
                       r_dirty = info.Mapper.Engine.dirty_cones;
                       r_clean = info.Mapper.Engine.clean_cones;
-                      r_hits = info.Mapper.Engine.memo_hits;
-                      r_misses = info.Mapper.Engine.memo_misses;
                       r_mismatches =
                         (if
                            Domino.Circuit.dump warm_c
@@ -364,8 +359,6 @@ let run params =
         Report.r_probes = a.Report.r_probes + m.Report.r_probes;
         r_dirty = a.Report.r_dirty + m.Report.r_dirty;
         r_clean = a.Report.r_clean + m.Report.r_clean;
-        r_hits = a.Report.r_hits + m.Report.r_hits;
-        r_misses = a.Report.r_misses + m.Report.r_misses;
         r_mismatches = a.Report.r_mismatches + m.Report.r_mismatches;
       }
   in
@@ -539,7 +532,6 @@ let run params =
             Obs.Trace.with_span ~cat:"fuzz" "fuzz.shrink" (fun () ->
                 Shrink.minimize ~max_checks:params.shrink_checks ~fails u cfg)
         in
-        Obs.Metrics.add m_shrink_checks shrunk.Shrink.checks;
         (* Re-run the shrunk pair to report its (possibly sharper)
            failure detail. *)
         let detail, cex_input, cex_output =

@@ -86,27 +86,17 @@ let no_optimality =
 (* Aggregated incremental-remap oracle verdicts.  Every passing run
    applies a seeded local edit ({!Edit}) and cross-checks a warm
    {!Mapper.Engine.remap} against a cold full map of the edited network,
-   byte-comparing the circuit dumps.  Probe counts and fingerprint
-   verdicts are pure functions of (params, run index), so the block is
+   byte-comparing the circuit dumps.  Probe counts and re-priced node
+   counts are pure functions of (params, run index), so the block is
    bit-identical at any worker count. *)
 type remap = {
   r_probes : int;      (* passing runs that ran the warm/cold cross-check *)
-  r_dirty : int;       (* cones fingerprinted dirty, summed over probes *)
-  r_clean : int;       (* cones fingerprinted clean, summed over probes *)
-  r_hits : int;        (* warm memo hits during the remaps *)
-  r_misses : int;      (* warm memo misses during the remaps *)
+  r_dirty : int;       (* nodes the remaps re-priced, summed over probes *)
+  r_clean : int;       (* nodes the remaps reused, summed over probes *)
   r_mismatches : int;  (* probes where warm and cold circuits differed *)
 }
 
-let no_remap =
-  {
-    r_probes = 0;
-    r_dirty = 0;
-    r_clean = 0;
-    r_hits = 0;
-    r_misses = 0;
-    r_mismatches = 0;
-  }
+let no_remap = { r_probes = 0; r_dirty = 0; r_clean = 0; r_mismatches = 0 }
 
 type chaos_counts = {
   raises : int;    (* injected exceptions (the run is aborted, counted) *)
@@ -231,8 +221,8 @@ let json_of_optimality o =
 let json_of_remap m =
   Printf.sprintf
     "{\"probes\": %d, \"dirty_cones\": %d, \"clean_cones\": %d, \
-     \"memo_hits\": %d, \"memo_misses\": %d, \"mismatches\": %d}"
-    m.r_probes m.r_dirty m.r_clean m.r_hits m.r_misses m.r_mismatches
+     \"mismatches\": %d}"
+    m.r_probes m.r_dirty m.r_clean m.r_mismatches
 
 let json_of_timeout t =
   Printf.sprintf "{\"run\": %d, \"net_seed\": %s, \"reason\": %s}" t.t_run
@@ -341,9 +331,9 @@ let pp_human fmt r =
   | None -> ()
   | Some m ->
       Format.fprintf fmt
-        "  remap oracle: %d probes — %d dirty / %d clean cones, %d warm \
-         hits, %d misses, %d mismatches@,"
-        m.r_probes m.r_dirty m.r_clean m.r_hits m.r_misses m.r_mismatches);
+        "  remap oracle: %d probes — %d re-priced / %d reused nodes, %d \
+         mismatches@,"
+        m.r_probes m.r_dirty m.r_clean m.r_mismatches);
   if not r.complete then
     Format.fprintf fmt "  (stopped early; later runs were not executed)@,";
   match r.counterexample with

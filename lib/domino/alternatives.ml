@@ -33,8 +33,6 @@ let rebuild cs =
 
 let sop_form ?(limit = 4096) p = Option.map rebuild (chains limit p)
 
-let replication_cost p = Option.map Pdn.transistors (sop_form p)
-
 let split_stacks ?(w_limit = max_int) (c : Circuit.t) =
   let gates =
     Array.map

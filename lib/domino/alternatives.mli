@@ -27,9 +27,6 @@ val sop_form : ?limit:int -> Pdn.t -> Pdn.t option
     exceed [limit] transistors (default 4096).  The expansion preserves
     the conduction function. *)
 
-val replication_cost : Pdn.t -> int option
-(** [replication_cost p] is the transistor count of {!sop_form}. *)
-
 val split_stacks : ?w_limit:int -> Circuit.t -> Circuit.t
 (** [split_stacks c] applies transformation 3 to every gate whose
     sum-of-products form fits within [w_limit] parallel chains (default:

@@ -104,8 +104,6 @@ let pair b g x y =
 let and2 b x y = pair b Gate.And x y
 let or2 b x y = pair b Gate.Or x y
 let xor2 b x y = xor_ b [ x; y ]
-let nand2 b x y = not_ b (and2 b x y)
-let nor2 b x y = not_ b (or2 b x y)
 let xnor2 b x y = not_ b (xor2 b x y)
 
 let mux b ~sel a0 a1 = or2 b (and2 b (not_ b sel) a0) (and2 b sel a1)

@@ -45,8 +45,6 @@ val xor_ : t -> wire list -> wire
 val and2 : t -> wire -> wire -> wire
 val or2 : t -> wire -> wire -> wire
 val xor2 : t -> wire -> wire -> wire
-val nand2 : t -> wire -> wire -> wire
-val nor2 : t -> wire -> wire -> wire
 val xnor2 : t -> wire -> wire -> wire
 
 val mux : t -> sel:wire -> wire -> wire -> wire

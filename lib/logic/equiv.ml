@@ -10,59 +10,37 @@ type attempt = A_verdict of verdict | A_limit
 
 let default_limit = 2_000_000
 
-(* Observation counters (see docs/observability.md).  All of these are
-   work-derived: BDD construction per cone is deterministic and the sum
-   over cones is schedule-independent, so they stay comparable between
-   pool sizes. *)
-let m_bdd_nodes = Obs.Metrics.counter "bdd.nodes"
-let m_bdd_hits = Obs.Metrics.counter "bdd.ite_hits"
-let m_bdd_misses = Obs.Metrics.counter "bdd.ite_misses"
-let m_cones = Obs.Metrics.counter "equiv.cones"
-let m_cones_sampled = Obs.Metrics.counter "equiv.cones_sampled"
-let m_sampled_vectors = Obs.Metrics.counter "equiv.sampled_vectors"
-
 (* Exact BDD comparison of two interface-compatible networks.  The
    manager carries the node cap as a hard limit, so blow-ups inside a
-   single apply are caught too, not only between network nodes.  The
-   manager's local counters are folded into the metrics registry on
-   every exit path, the node-limit bail-out included. *)
+   single apply are caught too, not only between network nodes. *)
 let compare_exact ~limit a b =
   let na = Array.length (Network.inputs a) in
   let m = Bdd.manager ~nvars:na ~max_nodes:limit () in
-  let flush () =
-    if Obs.Metrics.enabled () then begin
-      let s = Bdd.stats m in
-      Obs.Metrics.add m_bdd_nodes s.Bdd.nodes;
-      Obs.Metrics.add m_bdd_hits s.Bdd.ite_hits;
-      Obs.Metrics.add m_bdd_misses s.Bdd.ite_misses
-    end
-  in
-  Fun.protect ~finally:flush (fun () ->
-      Obs.Trace.with_span ~cat:"equiv" "equiv.bdd" (fun () ->
-          try
-            match (Bdd.of_network ~limit m a, Bdd.of_network ~limit m b) with
-            | None, _ | _, None -> A_limit
-            | Some oa, Some ob ->
-                let tbl = Hashtbl.create 16 in
-                Array.iter (fun (nm, f) -> Hashtbl.replace tbl nm f) ob;
-                let result = ref Equivalent in
-                Array.iter
-                  (fun (nm, fa) ->
-                    if !result = Equivalent then
-                      let fb = Hashtbl.find tbl nm in
-                      if not (Bdd.equal fa fb) then begin
-                        let diff = Bdd.xor_ m fa fb in
-                        match Bdd.any_sat m diff with
-                        | Some input ->
-                            result := Counterexample { input; output = nm }
-                        | None ->
-                            ()
-                            (* unreachable: xor of unequal nodes is
-                               satisfiable *)
-                      end)
-                  oa;
-                A_verdict !result
-          with Bdd.Node_limit _ -> A_limit))
+  Obs.Trace.with_span ~cat:"equiv" "equiv.bdd" (fun () ->
+      try
+        match (Bdd.of_network ~limit m a, Bdd.of_network ~limit m b) with
+        | None, _ | _, None -> A_limit
+        | Some oa, Some ob ->
+            let tbl = Hashtbl.create 16 in
+            Array.iter (fun (nm, f) -> Hashtbl.replace tbl nm f) ob;
+            let result = ref Equivalent in
+            Array.iter
+              (fun (nm, fa) ->
+                if !result = Equivalent then
+                  let fb = Hashtbl.find tbl nm in
+                  if not (Bdd.equal fa fb) then begin
+                    let diff = Bdd.xor_ m fa fb in
+                    match Bdd.any_sat m diff with
+                    | Some input ->
+                        result := Counterexample { input; output = nm }
+                    | None ->
+                        ()
+                        (* unreachable: xor of unequal nodes is
+                           satisfiable *)
+                  end)
+              oa;
+            A_verdict !result
+      with Bdd.Node_limit _ -> A_limit)
 
 (* Interface compatibility shared by every entry point. *)
 let interface_mismatch a b =
@@ -139,8 +117,6 @@ let check_or_sample ~limit ~vectors ~seed a b =
   match compare_exact ~limit a b with
   | A_verdict v -> { verdict = v; exact = true; sampled_vectors = 0; sample_seed = seed }
   | A_limit ->
-      Obs.Metrics.incr m_cones_sampled;
-      Obs.Metrics.add m_sampled_vectors vectors;
       {
         verdict =
           Obs.Trace.with_span ~cat:"equiv" "equiv.sample" (fun () ->
@@ -170,7 +146,6 @@ let per_output ~check_pair a b =
       Obs.Trace.with_span ~cat:"equiv" "equiv.cone"
         ~args:(fun () -> [ ("output", nm) ])
         (fun () ->
-          Obs.Metrics.incr m_cones;
           let rb = Hashtbl.find roots_b nm in
           check_pair (cone a nm ra) (cone b nm rb)))
     (Network.outputs a)

@@ -84,7 +84,3 @@ let dual = function
   | Xnor -> Xor
   | Not -> Not
   | Buf -> Buf
-
-let is_commutative = function
-  | And | Or | Nand | Nor | Xor | Xnor -> true
-  | Not | Buf -> true

@@ -40,6 +40,3 @@ val dual : t -> t
 (** [dual g] is the DeMorgan dual: [dual And = Or], [dual Nand = Nor],
     [dual Xor = Xnor], and [Not]/[Buf] are self-dual up to inversion
     ([dual Not = Not], [dual Buf = Buf]). *)
-
-val is_commutative : t -> bool
-(** [is_commutative g] tells whether fanin order is irrelevant. *)

@@ -48,7 +48,8 @@ type result = {
       (** the rewrite portfolio's accounting when [rewrite > 0]; [None]
           otherwise *)
   remap : Engine.remap_info option;
-      (** the dirty/clean verdict of a full {!remap}; [None] otherwise *)
+      (** the re-priced/reused node counts of a full {!remap}; [None]
+          otherwise *)
 }
 
 val prepare : Logic.Network.t -> Unate.Unetwork.t

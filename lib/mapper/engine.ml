@@ -50,12 +50,9 @@ type gate_info = {
    registry once per [map] call, so the DP hot loop never touches shared
    state; everything here is work-derived and schedule-independent. *)
 let m_nodes = Obs.Metrics.counter "mapper.nodes"
-let m_combinations = Obs.Metrics.counter "mapper.combinations"
-let m_tuples_kept = Obs.Metrics.counter "mapper.tuples_kept"
 let m_tuples_pruned = Obs.Metrics.counter "mapper.tuples_pruned"
 let m_gates = Obs.Metrics.counter "mapper.gates"
 let m_discharges = Obs.Metrics.counter "mapper.discharges"
-let m_greedy_fallback = Obs.Metrics.counter "mapper.greedy_fallback"
 
 (* The form a gate ships in: its PDN reordered when the options ask
    for it (the paper's Rearrange_Stacks, Table I), then the discharge
@@ -72,6 +69,8 @@ let finish options (g : Domino_gate.t) =
       Pbe_analysis.discharge_points ~grounded:options.grounded_at_foot pdn;
   }
 
+let min_bound = 2
+
 (* [greedy = true] is the degradation rung: every node offers its
    consumers only the formed gate tuple, exactly as if it had multiple
    fanouts.  Each node then tries O(pareto_width^2) combinations instead
@@ -86,8 +85,10 @@ let finish options (g : Domino_gate.t) =
    hits lower it.  The greedy rung never consults the cache: it changes
    the mapping-boundary rule, so its tables live in a different world. *)
 let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
-  if options.w_max < 2 || options.h_max < 2 then
-    invalid_arg "Engine.map: w_max and h_max must be at least 2";
+  if options.w_max < min_bound || options.h_max < min_bound then
+    invalid_arg
+      (Printf.sprintf "Engine.map: w_max and h_max must be at least %d"
+         min_bound);
   if options.pareto_width < 1 then
     invalid_arg "Engine.map: pareto_width must be at least 1";
   let model = options.cost in
@@ -648,8 +649,6 @@ let map_body ~greedy ~budget ~memo ~layers ~memo_salt options u =
      collection is off, so the disabled cost is this single branch. *)
   if Obs.Metrics.enabled () then begin
     Obs.Metrics.add m_nodes n;
-    Obs.Metrics.add m_combinations !combinations;
-    Obs.Metrics.add m_tuples_kept !tuples_kept;
     Obs.Metrics.add m_tuples_pruned !pruned;
     Obs.Metrics.add m_gates (Array.length circuit.Circuit.gates);
     Array.iter
@@ -713,7 +712,6 @@ let guard ?(on_exhaust = `Degrade) options u run =
       match on_exhaust with
       | `Fail -> Resilience.Outcome.Failed reason
       | `Degrade ->
-          Obs.Metrics.incr m_greedy_fallback;
           Resilience.Outcome.Degraded
             ( map_greedy options u,
               [ { Resilience.Outcome.stage = "mapper"; reason;
@@ -727,24 +725,17 @@ let map_outcome ?(budget = Resilience.Budget.unlimited) ?memo ?(memo_salt = 0)
 
 let m_remap_runs = Obs.Metrics.counter "remap.runs"
 let m_remap_dirty = Obs.Metrics.counter "remap.dirty"
-let m_remap_clean = Obs.Metrics.counter "remap.clean"
 
 type remap_state = {
   rs_options : options;
   rs_memo : Memo.t;  (* shared; holds the base's entries, never the edits' *)
   rs_salt : int;
-  mutable rs_prev : Memo.fingerprint;
   mutable rs_u : Unetwork.t;  (* the last network mapped through the state *)
   mutable rs_result : Domino.Circuit.t * stats;  (* ... and its answer *)
   mutable rs_overlay : Memo.t;  (* ... and the entries it used beyond rs_memo *)
 }
 
-type remap_info = {
-  dirty_cones : int;
-  clean_cones : int;
-  memo_hits : int;
-  memo_misses : int;
-}
+type remap_info = { dirty_cones : int; clean_cones : int }
 
 let remap_init ?(budget = Resilience.Budget.unlimited) ?memo ?(memo_salt = 0)
     options u =
@@ -754,7 +745,6 @@ let remap_init ?(budget = Resilience.Budget.unlimited) ?memo ?(memo_salt = 0)
       rs_options = options;
       rs_memo = memo;
       rs_salt = memo_salt;
-      rs_prev = Memo.fingerprint u;
       rs_u = u;
       rs_result = result;
       rs_overlay = Memo.create ~shards:1 ();
@@ -762,9 +752,9 @@ let remap_init ?(budget = Resilience.Budget.unlimited) ?memo ?(memo_salt = 0)
     result )
 
 (* Whole-network fast path guard: exact structural equality — names,
-   inputs, outputs, the full node array.  Fingerprints alone are not
-   enough here (they cover node structure but not output wiring), and
-   the daemon's steady state re-parses each payload, so physical
+   inputs, outputs, the full node array.  Memo keys alone are not
+   enough here (they ignore which literal drives a leaf, and outputs),
+   and the daemon's steady state re-parses each payload, so physical
    equality would never fire; structural equality does. *)
 let unetwork_equal a b =
   Unetwork.source_name a = Unetwork.source_name b
@@ -786,52 +776,37 @@ let remap ?(budget = Resilience.Budget.unlimited) st u =
         ("nodes", string_of_int (Unetwork.node_count u));
       ])
   @@ fun () ->
+  let n = Unetwork.node_count u in
   if unetwork_equal st.rs_u u then begin
     (* Identical network: the cached answer IS the cold answer (memo
-       transparency), every cone is clean, and no memo traffic happens
+       transparency), nothing is re-priced, and no memo traffic happens
        — the remap costs one O(n) comparison. *)
-    let clean = Unetwork.node_count u in
-    if Obs.Metrics.enabled () then begin
-      Obs.Metrics.incr m_remap_runs;
-      Obs.Metrics.add m_remap_clean clean
-    end;
+    if Obs.Metrics.enabled () then Obs.Metrics.incr m_remap_runs;
     let circuit, stats = st.rs_result in
-    ( circuit,
-      stats,
-      { dirty_cones = 0; clean_cones = clean; memo_hits = 0; memo_misses = 0 }
-    )
+    (circuit, stats, { dirty_cones = 0; clean_cones = n })
   end
   else begin
-    let next = Memo.fingerprint u in
-    let dirty, clean = Memo.dirty_counts ~prev:st.rs_prev ~next in
     (* A fresh overlay per edit: the shared memo serves the base's cones
        and is never written, the previous overlay lends the earlier
        edits' cones, and this network's misses land in the new overlay
        alone.  Replacing the old overlay afterwards bounds the state by
-       one network's working set however many fresh edits arrive. *)
+       one network's working set however many fresh edits arrive.  Memo
+       keys are exact, so the session's misses are exactly the nodes
+       this remap re-priced. *)
     let overlay = Memo.create ~shards:1 () in
     let circuit, stats, _gates =
       map_impl ~layers:(st.rs_memo, st.rs_overlay) ~greedy:false ~budget
         ~memo:(Some overlay) ~memo_salt:st.rs_salt st.rs_options u
     in
-    let run = Memo.stats overlay in
-    st.rs_prev <- next;
+    let dirty = (Memo.stats overlay).Memo.misses in
     st.rs_u <- u;
     st.rs_result <- (circuit, stats);
     st.rs_overlay <- overlay;
     if Obs.Metrics.enabled () then begin
       Obs.Metrics.incr m_remap_runs;
-      Obs.Metrics.add m_remap_dirty dirty;
-      Obs.Metrics.add m_remap_clean clean
+      Obs.Metrics.add m_remap_dirty dirty
     end;
-    ( circuit,
-      stats,
-      {
-        dirty_cones = dirty;
-        clean_cones = clean;
-        memo_hits = run.Memo.hits;
-        memo_misses = run.Memo.misses;
-      } )
+    (circuit, stats, { dirty_cones = dirty; clean_cones = n - dirty })
   end
 
 let overlay_entries st = Memo.entry_count st.rs_overlay

@@ -33,8 +33,8 @@ type style =
   | Soi  (** paper rules: p_dis/par_b tracking and stack-order freedom *)
 
 type options = {
-  w_max : int;  (** maximum PDN width (paper: 5) *)
-  h_max : int;  (** maximum PDN height (paper: 8) *)
+  w_max : int;  (** maximum PDN width (paper: 5; at least {!min_bound}) *)
+  h_max : int;  (** maximum PDN height (paper: 8; at least {!min_bound}) *)
   style : style;
   cost : Cost.model;
   both_orders : bool;
@@ -61,6 +61,11 @@ val default_options : options
 (** [{w_max = 5; h_max = 8; style = Soi; cost = Cost.area;
      both_orders = true; grounded_at_foot = true; pareto_width = 1;
      rearrange = true}]: exactly the [SOI_Domino_Map] flow's options. *)
+
+val min_bound : int
+(** The smallest [w_max] and [h_max] the engine maps with: 2.  {!map}
+    raises [Invalid_argument] below it, and the CLI and the daemon
+    reject such bounds as usage errors. *)
 
 val finish : options -> Domino.Domino_gate.t -> Domino.Domino_gate.t
 (** [finish options g] is [g] in the form {!map} emits it: its PDN
@@ -170,14 +175,14 @@ val guard :
 
 (** {2 Incremental remapping}
 
-    A {!remap_state} wraps a warm {!Memo} table together with the
-    {!Memo.fingerprint} of the last network mapped through it.  Because
+    A {!remap_state} wraps a warm {!Memo} table together with the last
+    network mapped through it and that network's answer.  Because
     memoization is exactly transparent, {!remap} after a local edit is
     byte-identical to a cold {!map} of the edited network — the warm
-    table merely lets every clean cone splice its cached frontier in
-    and skip its combination loop, so only the dirty cones pay DP cost.
-    The returned {!remap_info} reports the dirty/clean split (from the
-    fingerprints) and the memo hit/miss counts of the run.
+    table merely lets every unchanged cone splice its cached table in
+    and skip its combination loop.  Memo keys are exact, so the run's
+    memo misses are exactly the nodes it re-priced; the returned
+    {!remap_info} reports them.
 
     Edits never write the warm table.  Each {!remap} maps through a
     fresh overlay ({!Memo.start}'s [under]/[prev]) that reads the warm
@@ -190,11 +195,9 @@ type remap_state
 
 type remap_info = {
   dirty_cones : int;
-      (** nodes of the edited network whose deep structural signature
-          does not occur in the previous network (must recompute) *)
-  clean_cones : int;  (** nodes whose entire input cone is unchanged *)
-  memo_hits : int;  (** memoizable nodes spliced from the warm table *)
-  memo_misses : int;  (** memoizable nodes recomputed (and stored) *)
+      (** nodes the remap re-priced: its memo misses, each a node whose
+          table neither the warm table nor the previous overlay held *)
+  clean_cones : int;  (** the node count minus [dirty_cones] *)
 }
 
 val remap_init :
@@ -218,14 +221,14 @@ val remap :
 (** Map an edited network against the warm state.  The result (circuit
     and stats except [combinations_tried]) is identical to a cold
     {!map} with the same options; [combinations_tried] drops to the
-    dirty cones' share.  Updates the state's fingerprint to [u] and
-    replaces its overlay.
+    re-priced nodes' share.  Records [u] and its answer in the state
+    and replaces its overlay.
 
     A network structurally identical to the previous one (exact: names,
     outputs, node array — re-parsed payloads qualify, the daemon's
     steady state) takes a whole-network fast path: the cached circuit
-    is returned after one O(n) comparison, with every cone counted
-    clean and zero memo traffic in the {!remap_info}.
+    is returned after one O(n) comparison, nothing is re-priced, and
+    the {!remap_info} reads 0 dirty and every node clean.
     @raise Resilience.Budget.Exhausted as {!map}. *)
 
 val overlay_entries : remap_state -> int

@@ -104,7 +104,6 @@ type stats = { hits : int; misses : int; collisions : int; entries : int }
 
 let m_hit = Obs.Metrics.counter "cache.hit"
 let m_miss = Obs.Metrics.counter "cache.miss"
-let m_bytes = Obs.Metrics.counter "cache.bytes"
 
 let create ?(shards = 16) () =
   if shards < 1 then invalid_arg "Memo.create: shards must be positive";
@@ -270,7 +269,7 @@ let classes u ~boundary_level =
   done;
   ids
 
-(* ---------- network fingerprints for incremental remapping ---------- *)
+(* ---------- network fingerprints: a reference predictor ---------- *)
 
 (* Deep per-node signatures over the *whole* transitive fanin, ordered
    and identity-included — a different scheme from the memo keys on
@@ -284,9 +283,8 @@ let classes u ~boundary_level =
    therefore a sound clean-marker: the DP solve of a clean node's cone
    is a pure function of what the signature hashes, so every
    memoizable lookup below it hits a table populated by the previous
-   mapping.  Dirty cones are exactly the ones the engine recomputes —
-   nothing is rebuilt or flushed globally, which is the
-   dirty-cone-only invalidation path [Engine.remap] rides. *)
+   mapping.  No request computes them: the tests check the memo's
+   misses against this independent predictor. *)
 
 (* Two independently mixed native-int halves per node: 126 bits, no
    boxing.  [fmix] is the splitmix64 finalizer at OCaml's int width. *)
@@ -347,18 +345,6 @@ let dirty_cones ~prev ~next =
   Array.mapi
     (fun i h -> not (List.mem next.fp_lo.(i) (Ints.find_all seen h)))
     next.fp_hi
-
-let dirty_counts ~prev ~next =
-  let dirty =
-    Array.fold_left
-      (fun acc b -> if b then acc + 1 else acc)
-      0 (dirty_cones ~prev ~next)
-  in
-  (dirty, Array.length next.fp_hi - dirty)
-
-let fingerprint_hex fp id =
-  if id < 0 || id >= Array.length fp.fp_hi then None
-  else Some (Printf.sprintf "%016x%016x" fp.fp_hi.(id) fp.fp_lo.(id))
 
 (* ---------- invariants ---------- *)
 
@@ -492,9 +478,7 @@ let save t file =
        raise e);
     Sys.rename tmp file
   with
-  | () ->
-      Obs.Metrics.add m_bytes (String.length payload);
-      Resilience.Outcome.Ok (String.length payload)
+  | () -> Resilience.Outcome.Ok (String.length payload)
   | exception Sys_error msg -> degrade "memo.save" msg
   | exception e -> degrade "memo.save" (Printexc.to_string e)
 
@@ -525,7 +509,7 @@ let read_cache_file file =
         with End_of_file -> failwith "truncated payload"
       in
       if Digest.string payload <> digest then failwith "payload digest mismatch";
-      ((Marshal.from_string payload 0 : saved list), len))
+      (Marshal.from_string payload 0 : saved list))
 
 (* A key only names earlier records (see [dump]); a file where one does
    not was not written by [save]. *)
@@ -543,9 +527,9 @@ let load t file =
   if not (Sys.file_exists file) then Resilience.Outcome.Ok 0
   else
     match read_cache_file file with
-    | data, _ when not (well_ordered data) ->
+    | data when not (well_ordered data) ->
         degrade "memo.load" "an entry keys on a later record"
-    | data, bytes ->
+    | data ->
         let ids = Array.make (List.length data) (-1) in
         let code c = if c < 0 then c else ids.(c) in
         let added = ref 0 in
@@ -560,7 +544,6 @@ let load t file =
             if held == fresh then incr added;
             ids.(i) <- held.id)
           data;
-        Obs.Metrics.add m_bytes bytes;
         Resilience.Outcome.Ok !added
     | exception Failure msg -> degrade "memo.load" msg
     | exception Sys_error msg -> degrade "memo.load" msg

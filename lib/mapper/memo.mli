@@ -41,8 +41,8 @@
     same {!Engine.stats} as a run without one, with a single documented
     exception: [combinations_tried] counts only combinations actually
     executed, so cache hits — which skip a node's combination loop
-    entirely — lower it (and the [mapper.combinations] /
-    [mapper.tuples_pruned] metrics, and the tuple-budget charge).
+    entirely — lower it (and the [mapper.tuples_pruned] metric, and
+    the tuple-budget charge).
     [tuples_kept], [nodes_processed] and [gates_formed] are recomputed
     from the final tables and are identical.
 
@@ -170,22 +170,22 @@ val classes :
     the formed-gate level of multi-fanout node [m].  [None] for a node
     with a constant fanin. *)
 
-(** {2 Network fingerprints (incremental remapping)}
+(** {2 Network fingerprints (a reference predictor)}
 
     The table itself is content-addressed, so an edited network never
     needs a rebuild or a flush: entries for unchanged cones keep
-    serving, and the edited cones simply miss and recompute — the
-    dirty-cone-only invalidation path.  A {!fingerprint} makes that
-    boundary observable {e before} mapping: it assigns every node a
-    deep structural signature over its whole transitive fanin —
+    serving, and the edited cones simply miss and recompute.  The
+    misses are what {!Engine.remap} reports.  A {!fingerprint} predicts
+    that boundary independently, {e before} mapping: it assigns every
+    node a deep structural signature over its whole transitive fanin —
     ordered, literal-identity-included, and boundary-marked (whether
     each referenced node has fanout > 1), i.e. everything the DP solve
     of that node's cone is a function of.  A node of the edited
     network whose signature also appears in the previous network's
     fingerprint is {e clean}: its cone maps identically and every
-    memoizable lookup below it hits.  {!Engine.remap} uses the
-    dirty/clean partition to report how much of a warm mapping was
-    spliced from cache. *)
+    memoizable lookup below it hits.  No request path computes it; the
+    tests check that a remap re-prices no more nodes than
+    {!dirty_cones} marks. *)
 
 type fingerprint
 
@@ -199,12 +199,6 @@ val dirty_cones : prev:fingerprint -> next:fingerprint -> bool array
     is structurally unchanged.  Conservative in the sound direction:
     a clean verdict guarantees warm-table hits; a dirty verdict merely
     recomputes (and may still hit, since keys ignore leaf identity). *)
-
-val dirty_counts : prev:fingerprint -> next:fingerprint -> int * int
-(** [(dirty, clean)] totals of {!dirty_cones}. *)
-
-val fingerprint_hex : fingerprint -> int -> string option
-(** The deep signature of node [id] as 32 hex digits (tests). *)
 
 (** {2 Invariants} *)
 

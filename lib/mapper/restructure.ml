@@ -15,10 +15,6 @@ type outcome = {
   info : info;
 }
 
-let m_tried = Obs.Metrics.counter "rewrite.tried"
-let m_improved = Obs.Metrics.counter "rewrite.improved"
-let m_saved = Obs.Metrics.counter "rewrite.saved"
-
 (* The model's weights applied to a finished circuit.  [t_clock]
    includes the discharge transistors, so the plain clocked count
    (precharge + foot) is [t_clock - t_disch]; everything else in
@@ -77,13 +73,7 @@ let try_variants ?budget ?memo ~salt options variants base =
            else { b with info = { b.info with tried = b.info.tried + 1 } })
        variants
    with Resilience.Budget.Exhausted _ -> ());
-  let r = !best in
-  Obs.Metrics.add m_tried r.info.tried;
-  if r.info.chosen_rule <> None then begin
-    Obs.Metrics.incr m_improved;
-    Obs.Metrics.add m_saved (r.info.original_cost - r.info.cost)
-  end;
-  r
+  !best
 
 let base_outcome ~salt ~generated u (circuit, stats, cost) =
   {

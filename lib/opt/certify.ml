@@ -37,15 +37,6 @@ type summary = {
 let default_max_size = 24
 let default_max_expansions = 200_000
 
-(* Certifier observability; everything is work-derived and stable. *)
-let m_cones = Obs.Metrics.counter "opt.cones"
-let m_proved = Obs.Metrics.counter "opt.proved"
-let m_gaps = Obs.Metrics.counter "opt.gaps"
-let m_bounded = Obs.Metrics.counter "opt.bounded"
-let m_skipped = Obs.Metrics.counter "opt.skipped"
-let m_expansions = Obs.Metrics.counter "opt.expansions"
-let m_shape_hits = Obs.Metrics.counter "opt.shape_hits"
-
 let status_of_solution ~dp (s : Backend.solution) =
   if s.Backend.proved then begin
     match s.Backend.best with
@@ -125,7 +116,6 @@ let certify ?(backend = Bb.backend) ?(max_size = default_max_size)
             | Some cls -> (
                 match Hashtbl.find_opt solved cls with
                 | Some status ->
-                    Obs.Metrics.incr m_shape_hits;
                     (* A lookup, not a search: charging the original
                        solve's expansions again would double-count the
                        summary's work total. *)
@@ -166,31 +156,20 @@ let certify ?(backend = Bb.backend) ?(max_size = default_max_size)
   let skipped =
     count (fun c -> match c.status with Skipped _ -> true | _ -> false)
   in
-  let summary =
-    {
-      source = Unate.Unetwork.source_name u;
-      backend_name = backend.Backend.name;
-      certs;
-      cones = List.length certs;
-      certified = proved + gaps + bounded;
-      proved;
-      gaps;
-      bounded;
-      skipped;
-      trivial_outputs;
-      expansions =
-        List.fold_left (fun acc (c : cert) -> acc + c.expansions) 0 certs;
-    }
-  in
-  if Obs.Metrics.enabled () then begin
-    Obs.Metrics.add m_cones summary.cones;
-    Obs.Metrics.add m_proved summary.proved;
-    Obs.Metrics.add m_gaps summary.gaps;
-    Obs.Metrics.add m_bounded summary.bounded;
-    Obs.Metrics.add m_skipped summary.skipped;
-    Obs.Metrics.add m_expansions summary.expansions
-  end;
-  summary
+  {
+    source = Unate.Unetwork.source_name u;
+    backend_name = backend.Backend.name;
+    certs;
+    cones = List.length certs;
+    certified = proved + gaps + bounded;
+    proved;
+    gaps;
+    bounded;
+    skipped;
+    trivial_outputs;
+    expansions =
+      List.fold_left (fun acc (c : cert) -> acc + c.expansions) 0 certs;
+  }
 
 let status_line = function
   | Proved { cost } -> Printf.sprintf "PROVED cost=%d" cost

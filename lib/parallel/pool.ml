@@ -101,8 +101,6 @@ let stats p =
    metrics, so registered unstable. *)
 let m_tasks = Obs.Metrics.counter ~stable:false "pool.tasks"
 let m_steals = Obs.Metrics.counter ~stable:false "pool.steals"
-let m_batches = Obs.Metrics.counter ~stable:false "pool.batches"
-let m_queue_peak = Obs.Metrics.gauge_max ~stable:false "pool.queue_peak"
 let m_busy = Obs.Metrics.counter ~stable:false "pool.busy_ns"
 
 let atomic_max a v =
@@ -257,10 +255,7 @@ let publish p b =
     else 0
   in
   Mutex.unlock p.mutex;
-  if depth > 0 then begin
-    atomic_max p.st_peak_queue depth;
-    Obs.Metrics.observe_max m_queue_peak depth
-  end;
+  if depth > 0 then atomic_max p.st_peak_queue depth;
   depth > 0
 
 let map p f arr =
@@ -268,7 +263,6 @@ let map p f arr =
   if n = 0 then [||]
   else begin
     ignore (Atomic.fetch_and_add p.st_batches 1);
-    Obs.Metrics.incr m_batches;
     if p.n_jobs = 1 then map_inline p f arr
     else begin
       let results = Array.make n None in

@@ -3,9 +3,6 @@
 val escape : string -> string
 (** [escape cell] quotes a cell per RFC 4180 when needed. *)
 
-val of_rows : string list list -> string
-(** [of_rows rows] renders rows (first row = header) as CSV text. *)
-
 val table1 : Experiments.comparison_row list -> string
 (** Table I as CSV. *)
 

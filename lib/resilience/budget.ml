@@ -118,5 +118,3 @@ let charge_tuples b n =
   | Some cap ->
       b.tuples <- b.tuples + n;
       if b.tuples > cap then trip (Tuple_limit cap)
-
-let tuples_spent b = b.tuples

@@ -71,11 +71,6 @@ val charge_tuples : t -> int -> unit
 (** [charge_tuples b n] spends [n] units of the tuple allowance; raises
     [Exhausted (Tuple_limit _)] once the cap is crossed. *)
 
-val tuples_spent : t -> int
-(** Units charged so far through {!charge_tuples} (0 when the budget
-    carries no tuple cap — the no-cap path never counts).  Exact-search
-    backends report it as their deterministic work measure. *)
-
 val trip : reason -> 'a
 (** Record the exhaustion in the flight recorder ({!Obs.Flight}, kind
     ["budget"]) and raise [Exhausted].  Every internal checkpoint

@@ -17,11 +17,6 @@ type fault = Raise | Delay | Exhaust
 
 exception Injected of string * fault  (* site, fault *)
 
-let fault_name = function
-  | Raise -> "raise"
-  | Delay -> "delay"
-  | Exhaust -> "exhaust"
-
 type t = {
   seed : int option;  (* None = disabled *)
   rate : float;  (* probability of a fault per point *)

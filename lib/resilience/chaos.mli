@@ -16,8 +16,6 @@ type fault = Raise | Delay | Exhaust
 exception Injected of string * fault
 (** [(site, fault)] thrown by a [Raise] fault at [site]. *)
 
-val fault_name : fault -> string
-
 type t
 
 val disabled : t

@@ -41,11 +41,3 @@ let map f = function
   | Ok v -> Ok (f v)
   | Degraded (v, ds) -> Degraded (f v, ds)
   | Failed r -> Failed r
-
-let add_degradations ds o =
-  if ds = [] then o
-  else
-    match o with
-    | Ok v -> Degraded (v, ds)
-    | Degraded (v, ds') -> Degraded (v, ds' @ ds)
-    | Failed r -> Failed r

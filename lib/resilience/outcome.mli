@@ -32,7 +32,3 @@ val describe : 'a t -> string
 val describe_degradation : degradation -> string
 
 val map : ('a -> 'b) -> 'a t -> 'b t
-
-val add_degradations : degradation list -> 'a t -> 'a t
-(** Fold further degradations into an outcome (an [Ok] becomes
-    [Degraded]); the empty list is the identity. *)

@@ -2,12 +2,6 @@ open Unate
 
 type variant = { v_rule : string; v_site : int; v_net : Unetwork.t }
 
-let m_sites = Obs.Metrics.counter "rewrite.sites"
-let m_matches = Obs.Metrics.counter "rewrite.matches"
-let m_variants = Obs.Metrics.counter "rewrite.variants"
-let m_duplicates = Obs.Metrics.counter "rewrite.duplicates"
-let m_degraded = Obs.Metrics.counter "rewrite.degraded"
-
 let signature u =
   let b = Buffer.create 256 in
   let fin = function
@@ -100,9 +94,7 @@ let enumerate ?(budget = Resilience.Budget.unlimited) ?rules ~limit u =
      let site = ref 0 in
      while !count < limit && !site < n do
        Resilience.Budget.check_deadline budget;
-       Obs.Metrics.incr m_sites;
        let ms = Pattern.matches_at compiled u !site in
-       Obs.Metrics.add m_matches (List.length ms);
        List.iter
          (fun m ->
            if !count < limit then begin
@@ -110,8 +102,7 @@ let enumerate ?(budget = Resilience.Budget.unlimited) ?rules ~limit u =
              Resilience.Budget.charge_tuples budget (n + 1);
              let v = apply u ~site:!site m in
              let sg = signature v in
-             if Hashtbl.mem seen sg then Obs.Metrics.incr m_duplicates
-             else begin
+             if not (Hashtbl.mem seen sg) then begin
                Hashtbl.add seen sg ();
                out :=
                  {
@@ -129,6 +120,5 @@ let enumerate ?(budget = Resilience.Budget.unlimited) ?rules ~limit u =
    with Resilience.Budget.Exhausted _ ->
      (* Degrade, never fail: the variants built so far are the choice
         set; the caller sees the spent budget on its own charges. *)
-     Obs.Metrics.incr m_degraded);
-  Obs.Metrics.add m_variants !count;
+     ());
   List.rev !out

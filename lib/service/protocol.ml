@@ -158,6 +158,13 @@ let field_int_opt j name =
 
 let ( let* ) = Result.bind
 
+(* The largest w_max and h_max a request may ask for.  A node's table
+   holds w_max * h_max slots, and the shared memo keeps every table of
+   each (w_max, h_max) world for the daemon's life, so without a ceiling
+   one request's bounds would set the daemon's memory.  Every in-repo
+   caller fits: ablation's widest row is 8 x 12. *)
+let max_bound = 16
+
 let parse_map j =
   let* fmt_s =
     match Obs.Json.member "format" j with
@@ -198,7 +205,12 @@ let parse_map j =
      or a non-positive cap is a client error, not a mapping attempt. *)
   let* () = Resilience.Budget.validate ?timeout ?max_tuples ?max_bdd_nodes () in
   let* () =
-    if w_max < 1 || h_max < 1 then Error "w_max and h_max must be at least 1"
+    if w_max < Mapper.Engine.min_bound || h_max < Mapper.Engine.min_bound then
+      Error
+        (Printf.sprintf "w_max and h_max must be at least %d"
+           Mapper.Engine.min_bound)
+    else if w_max > max_bound || h_max > max_bound then
+      Error (Printf.sprintf "w_max and h_max must be at most %d" max_bound)
     else if rewrite < 0 then Error "rewrite must be non-negative"
     else if delay_ms < 0 then Error "delay_ms must be non-negative"
     else Ok ()

@@ -23,11 +23,11 @@
     pre-edit circuit in the same [format].  The server keeps one warm
     baseline state keyed by (base, format, flow, cost, bounds): a miss
     maps the base through the shared warm memo, and every further remap
-    against the same base fingerprints the payload against the state —
-    re-pricing only the cones dirty relative to the {e previous} remap
-    of the loop (an unchanged payload answers from the whole-network
-    fast path) — then answers with the normal mapped response plus a
-    ["remap"] member [{"nodes":N,"dirty":N,"clean":N}].  Results are
+    against the same base maps the payload against the state —
+    re-pricing only the nodes whose memo keys miss (an unchanged
+    payload answers from the whole-network fast path) — then answers
+    with the normal mapped response plus a ["remap"] member
+    [{"nodes":N,"dirty":N,"clean":N}] ({!remap_summary}).  Results are
     byte-identical to a cold map of the payload either way.  [rewrite]
     is rejected for remap requests (the portfolio has no warm path).
 
@@ -72,8 +72,8 @@ type map_params = {
   payload : string;  (** circuit text, or the suite benchmark name *)
   flow : Mapper.Algorithms.flow;
   cost : Mapper.Cost.model;
-  w_max : int;
-  h_max : int;
+  w_max : int;  (** between {!Mapper.Engine.min_bound} and 16 *)
+  h_max : int;  (** between {!Mapper.Engine.min_bound} and 16 *)
   rewrite : int;
   timeout : float option;  (** client-requested; clamped by server policy *)
   max_tuples : int option;
@@ -103,7 +103,6 @@ val parse_request : string -> (request, string) result
     limits (the same {!Resilience.Budget.validate} rules as the CLI
     flags) come back as [Error msg], never an exception. *)
 
-val format_of_string : string -> (format, string) result
 val flow_of_string : string -> (Mapper.Algorithms.flow, string) result
 val cost_of_string : string -> (Mapper.Cost.model, string) result
 
@@ -131,9 +130,11 @@ val render_failed :
   ?trace_id:string -> id:string -> elapsed_ms:float -> string -> string
 
 type remap_summary = { rs_nodes : int; rs_dirty : int; rs_clean : int }
-(** The fingerprint verdict attached to a remap response: total nodes in
-    the edited network, and how many were dirty (re-priced) vs clean
-    (warm memo splices). *)
+(** The counts attached to a remap response: total nodes in the edited
+    network, how many the remap re-priced ([dirty]: its memo misses),
+    and how many it reused ([clean]: the rest).  They depend on what
+    the daemon's shared memo already holds: a payload whose tables
+    another request already mapped re-prices nothing. *)
 
 val render_mapped :
   ?trace_id:string ->

@@ -535,8 +535,8 @@ let run_job t job =
             ~w_max:p.Protocol.w_max ~h_max:p.Protocol.h_max
             ~rewrite:p.Protocol.rewrite p.Protocol.flow u
       | Some base ->
-          (* Incremental remap: fingerprint the payload against a warm
-             baseline, re-pricing only the dirty cones.  The steady
+          (* Incremental remap against a warm baseline: only the
+             nodes whose memo keys miss are re-priced.  The steady
              state — many remaps of edited payloads against a few bases
              — never re-maps a base; a cache miss maps it through the
              shared warm memo.  A budget trip follows [on_exhaust] as a

@@ -115,6 +115,8 @@ let test_soimap_exit_codes () =
   Alcotest.(check int) "two sources is a usage error" 2
     (soimap "--bench mux --blif x.blif");
   Alcotest.(check int) "an extras benchmark maps" 0 (soimap "--bench fig3");
+  Alcotest.(check int) "a width below 2 is a usage error" 2
+    (soimap "--bench fig3 --w-max 1");
   Alcotest.(check int) "unknown remap base is a usage error" 2
     (soimap "--bench mux --remap no-such-circuit");
   let bad = write_temp ".blif" ".model broken\n.latch a b\n.end\n" in
